@@ -93,7 +93,7 @@ def test_shard_single_partition_overhead(benchmark):
 
 
 def test_shm_planes_not_slower_than_pipes(benchmark):
-    """Same-host shared-memory lane planes must not lose to the pickled
+    """Same-host shared-memory lane planes must not lose to the JSON
     pipe exchange they replace at P>=2 (the perf_gate shm floor: both
     arms measured back-to-back in one process, so the ratio is
     host-independent)."""

@@ -60,7 +60,7 @@ SPARSE_FLOOR_MIN_SKIP = 0.5
 
 #: Floor rule for the shared-memory lane planes: at or above this many
 #: partitions, a sharded row recording ``shm_speedup`` (shm vs the
-#: pickled-pipe process executor, same host and sweep) must keep its
+#: JSON-pipe process executor, same host and sweep) must keep its
 #: per-design best at or above 1x -- zero-copy index writes may never
 #: lose to the pipe exchange they replace.  Both arms of a pair are
 #: kernel-dominated on small cuts, so single points are noisy; the rule

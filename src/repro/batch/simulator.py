@@ -309,7 +309,7 @@ class BatchSimulator:
         the cycle count.
 
         Unlike :class:`BatchSnapshot` (backend-native, cheap, same
-        process), the exported form is portable: plain lists pickle across
+        process), the exported form is portable: plain int lists cross
         process boundaries -- and slot-indexed ints are backend-agnostic,
         so a ``u64xN`` worker can hand its state to an ``object`` peer --
         which is how the sharded process executor checkpoints workers.

@@ -164,7 +164,7 @@ def attach_shm_speedup(rows: Sequence[ShardRow]) -> None:
     Both arms of a pair ran on the same host in the same sweep, so the
     ratio is host-independent in a way raw lane-cps is not -- it is the
     absolute floor ``benchmarks/perf_gate.py`` holds at >= 1x for P >= 2
-    (zero-copy index writes may never lose to pickled pipe rows).
+    (zero-copy index writes may never lose to JSON pipe rows).
     """
     pipe = {
         (row.design, row.kernel, row.lanes, row.partitions, row.strategy):

@@ -209,3 +209,58 @@ class DataflowGraph:
         for name, reg in self.registers.items():
             if reg.next_nid < 0:
                 raise ValueError(f"register {name!r} has no next-value node")
+
+
+# ----------------------------------------------------------------------
+# Document form (what a shard worker receives over the wire)
+# ----------------------------------------------------------------------
+_REGISTER_FIELDS = ("width", "state_nid", "next_nid", "init_value",
+                    "reset_input", "clock")
+
+
+def graph_to_doc(graph: DataflowGraph) -> dict:
+    """A JSON-able document holding everything that determines the
+    graph's behaviour -- exactly what ``design_fingerprint`` hashes."""
+    return {
+        "name": graph.name,
+        "nodes": [[n.op, list(n.operands), n.width, n.value, n.name]
+                  for n in graph.nodes],
+        "inputs": graph.inputs,
+        "outputs": graph.outputs,
+        "registers": {
+            name: [getattr(reg, field) for field in _REGISTER_FIELDS]
+            for name, reg in graph.registers.items()
+        },
+        "signals": graph.signal_map,
+    }
+
+
+def graph_from_doc(doc: dict) -> DataflowGraph:
+    """Rebuild a graph from :func:`graph_to_doc` output.  The document
+    may come from another host: a shape that is not a well-formed graph
+    raises (``KeyError``/``TypeError``/``ValueError``), nothing more."""
+    graph = DataflowGraph(str(doc["name"]))
+    for nid, (op, operands, width, value, name) in enumerate(doc["nodes"]):
+        if name is not None and not isinstance(name, str):
+            raise TypeError(f"node {nid} name is not a string")
+        node = DfgNode(nid, str(op), tuple(int(o) for o in operands),
+                       int(width), int(value), name)
+        graph.nodes.append(node)
+        if node.op == "const":
+            graph._intern[("const", node.value, node.width)] = nid
+        elif node.is_op:
+            graph._intern[(node.op, node.operands, node.width)] = nid
+    count = len(graph.nodes)
+    for attr, key in (("inputs", "inputs"), ("outputs", "outputs"),
+                      ("signal_map", "signals")):
+        table = {str(name): int(nid) for name, nid in doc[key].items()}
+        if not all(0 <= nid < count for nid in table.values()):
+            raise ValueError(f"graph document {key} name a missing node")
+        setattr(graph, attr, table)
+    for name, fields in doc["registers"].items():
+        reg = RegisterInfo(str(name), **dict(zip(_REGISTER_FIELDS, fields)))
+        if not (0 <= reg.state_nid < count and 0 <= reg.next_nid < count):
+            raise ValueError(f"register {name!r} names a missing node")
+        graph.registers[reg.name] = reg
+    graph.validate()
+    return graph

@@ -50,22 +50,6 @@ class RegisterUpdateMap:
     # ------------------------------------------------------------------
     # Batched exchange support (repro.shard)
     # ------------------------------------------------------------------
-    def exports_of(self) -> Dict[int, List[str]]:
-        """Per-writer publish lists: partition index -> registers it must
-        export after every edge (those with at least one reader), in a
-        stable order.
-
-        The sharded simulator hands each partition worker its export list
-        once at construction so the per-cycle step reply carries exactly
-        the lane vectors the exchange needs -- no more, no less.
-        """
-        exports: Dict[int, List[str]] = {
-            index: [] for index in range(self.num_partitions)
-        }
-        for name in sorted(self.readers):
-            exports[self.writer[name]].append(name)
-        return exports
-
     def routes(self) -> List[Tuple[str, int, Tuple[int, ...]]]:
         """The RUM flattened to a stable exchange schedule.
 

@@ -23,8 +23,9 @@ content-addressed home on disk:
 * ``cbin``      -- the compiled C batch backend's shared-object bytes,
   keyed by the program fingerprint plus host triple and compile flags
   (a warm start loads it without invoking a compiler);
-* ``pgraph``    -- pickled partition graphs the process executor ships
-  to workers by key instead of over the spawn pipe.
+* ``pgraph``    -- partition graphs the shard coordinator names to its
+  workers by key instead of sending the graph document (each worker
+  reads its *own* cache; nothing pickled ever crosses a channel).
 
 Entries are pickled with a versioned schema envelope, written atomically
 (temp file + ``os.replace``), loaded corruption-tolerantly (a damaged or

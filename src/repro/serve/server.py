@@ -1,9 +1,8 @@
 """Simulation-as-a-service: asyncio server + sync client for a fleet.
 
-The wire protocol is deliberately tiny: each frame is a 4-byte
-big-endian length prefix followed by a UTF-8 JSON object (Python's
-``json`` round-trips arbitrary-precision ints, so wide signal values
-need no special casing).  Requests carry an ``op`` plus operands;
+The wire protocol is deliberately tiny: each frame is one
+:mod:`repro.wire` frame (length-prefixed JSON, shared with the shard
+workers) holding a JSON object.  Requests carry an ``op`` plus operands;
 responses are ``{"ok": true, ...}`` or ``{"ok": false, "error": ...,
 "kind": <exception class>}``.
 
@@ -38,13 +37,12 @@ the in-process deployment used by the tests and the example; the CLI
 from __future__ import annotations
 
 import asyncio
-import json
 import socket
-import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
+from .. import wire
 from .fleet import FleetFullError, LaneFleet, LaneState, Session
 
 __all__ = [
@@ -66,9 +64,6 @@ def connect_session(host: str, port: int,
     session = client.open_session()
     session.owns_client = True
     return session
-
-_LEN = struct.Struct(">I")
-MAX_FRAME = 64 << 20
 
 
 # ----------------------------------------------------------------------
@@ -112,31 +107,6 @@ def state_from_json(doc: Dict[str, Any]) -> LaneState:
         payload=payload,
         poked={k: int(v) for k, v in doc.get("poked", {}).items()},
     )
-
-
-# ----------------------------------------------------------------------
-# Framing
-# ----------------------------------------------------------------------
-def _encode(message: Dict[str, Any]) -> bytes:
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME:
-        raise ValueError(f"frame of {len(body)} bytes exceeds {MAX_FRAME}")
-    return _LEN.pack(len(body)) + body
-
-
-async def _read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise ValueError(f"frame of {length} bytes exceeds {MAX_FRAME}")
-    try:
-        body = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    return json.loads(body.decode("utf-8"))
 
 
 # ----------------------------------------------------------------------
@@ -202,11 +172,14 @@ class FleetServer:
         sessions: Dict[int, Session] = {}
         try:
             while True:
-                request = await _read_frame(reader)
+                try:
+                    request = await wire.read_frame(reader)
+                except wire.FrameError:
+                    break  # not speaking frames: end this connection only
                 if request is None:
                     break
                 response = await self._dispatch(request, sessions)
-                writer.write(_encode(response))
+                writer.write(wire.encode(response))
                 await writer.drain()
         finally:
             # A vanished client must not gate its siblings' barrier.
@@ -386,22 +359,10 @@ class FleetClient:
                  timeout: Optional[float] = 60.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
 
-    # -- framing -------------------------------------------------------
-    def _recv_exactly(self, count: int) -> bytes:
-        chunks: List[bytes] = []
-        while count:
-            chunk = self._sock.recv(count)
-            if not chunk:
-                raise ConnectionError("fleet server closed the connection")
-            chunks.append(chunk)
-            count -= len(chunk)
-        return b"".join(chunks)
-
     def call(self, **request: Any) -> Dict[str, Any]:
         """One request/response round trip; raises on ``ok: false``."""
-        self._sock.sendall(_encode(request))
-        (length,) = _LEN.unpack(self._recv_exactly(_LEN.size))
-        response = json.loads(self._recv_exactly(length).decode("utf-8"))
+        wire.send_frame(self._sock, request)
+        response = wire.recv_frame(self._sock)
         if not response.get("ok"):
             kind = response.get("kind", "RuntimeError")
             error = response.get("error", "fleet server error")

@@ -25,58 +25,24 @@ per-partition kernels run each cycle::
     print(sim.peek("count"))         # -> list of 32 ints
     sim.close()                      # or use it as a context manager
 
-Executors: ``serial`` (in-process, deterministic reference), ``thread``
-(shared-memory thread pool), ``process`` (one ``multiprocessing`` worker
-per partition; pickled lane buffers over pipes, or zero-copy
-``multiprocessing.shared_memory`` lane planes whenever every partition
-fits the u64 plane -- the configuration that buys real wall-clock
-parallelism; see ``BENCH_shard.json``), and ``socket`` (partitions
-spread round-robin over ``shard-worker`` TCP hosts, with a static
-RUM-derived exchange schedule that keeps host-local rows off the wire;
-:mod:`repro.shard.remote`).  The
-``partitioner=`` knob picks the cut: ``"greedy"`` (balanced cone
-assignment) or ``"refined"`` (replication-capped KL/FM refinement,
-:mod:`repro.repcut.refine` -- ~0.1% replication on rocket-1 at P=2
-versus ~97% greedy), with ``max_replication=`` as the explicit cap.  All four are
-bit-exact with the scalar :class:`~repro.sim.Simulator` lane by lane;
-``tests/test_shard.py`` asserts lockstep equivalence across executors,
-partition counts, and designs, including multi-clock ``step_domain``,
-and ``tests/test_shard_remote.py`` adds worker fault injection and the
-loopback socket topology.
+The executor names (``serial``, ``thread``, ``process``, ``socket``) and
+what each puts between coordinator and workers are described once, in
+:mod:`repro.shard.executors`; ``partitioner=`` picks the cut
+(``"greedy"`` or ``"refined"``, :mod:`repro.repcut.refine`).  Every
+combination is bit-exact with the scalar :class:`~repro.sim.Simulator`
+lane by lane (``tests/test_shard.py``, ``tests/test_shard_remote.py``).
 """
 
-from .executors import (
-    EXECUTORS,
-    BaseExecutor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from .executors import EXECUTORS, ChannelExecutor
+from .remote import serve_shard_worker, spawn_local_workers
 from .simulator import ShardLaneState, ShardSnapshot, ShardedBatchSimulator
 
 __all__ = [
     "EXECUTORS",
-    "BaseExecutor",
-    "ProcessExecutor",
-    "SerialExecutor",
+    "ChannelExecutor",
     "ShardLaneState",
     "ShardSnapshot",
     "ShardedBatchSimulator",
-    "SocketExecutor",
-    "ThreadExecutor",
-    "make_executor",
     "serve_shard_worker",
     "spawn_local_workers",
 ]
-
-
-def __getattr__(name):
-    # SocketExecutor and the worker server import lazily: plain
-    # serial/thread/process use never pays the socket module import.
-    if name in ("SocketExecutor", "serve_shard_worker",
-                "spawn_local_workers"):
-        from . import remote
-
-        return getattr(remote, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,940 +1,486 @@
-"""Pluggable executors: P partition workers per cycle, one barrier each.
+"""The shard coordinator: P partitions behind channels, one barrier a cycle.
 
 The sharded simulator's bulk-synchronous schedule needs a small command
 set per partition -- poke, step-and-collect-exports, apply-sync, peek,
-reset, checkpoint.  Three executors realise it:
+reset, checkpoint.  :class:`~repro.shard.worker.WorkerCore` implements
+it once; :class:`ChannelExecutor` drives it once, over a
+partition -> (channel, local index) map.  An ``executor=`` name only
+chooses what the channels are:
 
-* :class:`SerialExecutor` -- every partition stepped in-process, in
-  index order.  The deterministic reference: zero concurrency, zero IPC,
-  bit-exact with the others by construction.
-* :class:`ThreadExecutor` -- a ``concurrent.futures`` thread pool steps
-  the partitions concurrently.  Same address space (lane rows never
-  leave the process); throughput is GIL-bound for the Python-level walk
-  loops but the executor exists as the shared-memory rung of the ladder
-  and for NumPy builds that release the GIL.
-* :class:`ProcessExecutor` -- one ``multiprocessing`` worker process per
-  partition, each hosting its own lane-vectorised
-  :class:`~repro.batch.BatchSimulator` built from the pickled partition
-  graph.  Commands travel over pipes; lane rows cross as plain int lists
-  (pickled lane buffers), or -- when every partition fits the u64 plane
-  and NumPy is present -- as index writes into per-partition
-  ``multiprocessing.shared_memory`` lane planes (``transport="shm"``),
-  cutting the per-cycle exchange to zero-copy row assignments.  This is
-  the executor that actually buys wall-clock parallelism for heavy
-  partitions.
-* :class:`~repro.shard.remote.SocketExecutor` -- the same command set as
-  length-prefixed pickle frames over TCP, partitions spread round-robin
-  over ``shard-worker`` hosts (see :mod:`repro.shard.remote`).
+* ``serial`` -- one in-process channel per partition, stepped in index
+  order.  The deterministic reference: zero concurrency, zero IPC.
+* ``thread`` -- the same channels with ``step`` running on a thread
+  pool: GIL-bound for the Python-level walk loops, it pays off for
+  kernels that release the GIL.
+* ``process`` -- one forked worker process per partition on a
+  ``multiprocessing`` pipe.  Lane rows cross as JSON int lists, or --
+  when every partition fits the u64 plane and NumPy is present -- through
+  shared-memory lane planes (``transport="shm"``,
+  :mod:`repro.shard.planes`).  This is the executor that buys wall-clock
+  parallelism for heavy partitions.
+* ``socket`` -- one TCP channel per ``shard-worker`` host, partitions
+  spread round-robin over the hosts (:mod:`repro.shard.remote`).
 
-All four expose the same interface, so the sharded simulator's exchange
-logic is written once.  The per-cycle protocol is two phases: broadcast
-``step`` to every worker, gather each worker's export rows (its owned
-registers that other partitions read), then scatter the per-reader sync
-updates.  That is Cascade 2's ``LI[c+1] = LI[c,I] . RUM`` realised as
-batched lane-vector exchanges.
+Every channel carries the same :mod:`repro.wire` frames.  The exchange
+schedule is static, derived once from the RUM routes: a route leg whose
+writer and reader share a channel is applied worker-side, and only rows
+with a reader elsewhere are reported to the coordinator.  The per-cycle
+protocol is two phases: broadcast ``step`` and gather each partition's
+reported export rows, then scatter the per-reader sync updates -- Cascade
+2's ``LI[c+1] = LI[c,I] . RUM`` realised as batched lane-vector
+exchanges.
 """
 
 from __future__ import annotations
 
-import time
-import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..batch.backend import HAS_NUMPY, U64_MAX_WIDTH
-from ..batch.simulator import BatchSimulator
-from ..kernels.config import KernelConfig
+from .. import wire
+from ..graph.dfg import graph_to_doc
+from ..kernels.activity import ActivityStats
 from ..repcut.partition import Partition
+from .planes import ExportRows, LanePlanes, shm_eligibility
+from .remote import SocketChannel, spawn_local_workers
+from .worker import PEER_GONE, WorkerCore, mp_context, serve
 
 EXECUTORS = ("serial", "thread", "process", "socket")
 
-#: One partition's exported register rows: ``{register: [lane values]}``.
-ExportRows = Dict[str, List[int]]
 
+class InlineChannel:
+    """A :class:`WorkerCore` in this process.  Commands run at ``send``
+    and worker-side exceptions propagate natively (no traceback
+    marshalling); with a pool, ``step`` -- the one command worth
+    overlapping -- runs on it so the channels' steps run concurrently."""
 
-def _require_count(executor, op: str, got: int, expected: int) -> None:
-    """Refuse partition-indexed payloads of the wrong length.
+    def __init__(self, label: str, pool=None) -> None:
+        self.label = label
+        self._core = WorkerCore()
+        self._pool = pool
 
-    Silently zipping a short ``states`` list against the partition list
-    would leave trailing partitions stale -- a wrong-partition-count
-    snapshot must fail loudly, not corrupt lockstep.
-    """
-    if got != expected:
-        raise ValueError(
-            f"{executor.name} executor {op}() got {got} partition "
-            f"entries, expected {expected} -- was this state captured "
-            "under a different partitioning?"
-        )
+    def send(self, message) -> None:
+        handle = self._core.handle
+        if self._pool is not None and message[0] == "step":
+            self._pending = self._pool.submit(handle, *message).result
+        else:
+            result = handle(*message)
+            self._pending = lambda: result
 
-
-def _is_pgraph_cache_miss(text) -> bool:
-    """Recognise the one handshake failure worth a respawn: the worker
-    could not resolve a ``pgraph`` cache reference (stale/evicted
-    entry).  Anything else -- a genuine worker-side compile error --
-    would fail identically on retry and must surface as-is."""
-    message = str(text)
-    return "pgraph cache entry" in message and "missing" in message
-
-
-def _make_partition_sim(
-    partition: Partition, lanes: int, kernel, backend: str
-) -> BatchSimulator:
-    # Partition graphs come out of partition_graph already optimised;
-    # re-optimising could eliminate the replica inputs the sync needs.
-    return BatchSimulator(
-        partition.graph,
-        lanes=lanes,
-        kernel=kernel,
-        backend=backend,
-        optimize_graph=False,
-    )
-
-
-def _step_one(sim: BatchSimulator, clock: Optional[str]) -> None:
-    """One edge on one partition: all domains, or one domain if present.
-
-    A partition owning no register in ``clock`` simply sits the edge out;
-    its combinational logic settles lazily at the next observation.
-    """
-    if clock is None:
-        sim.step()
-    elif clock in sim.clock_domains:
-        sim.step_domain(clock)
-
-
-class BaseExecutor:
-    """The command set the sharded simulator drives (see module docs).
-
-    Executors also keep two measured step-time accumulators:
-    ``step_total_seconds`` (sum of every partition's kernel time) and
-    ``step_max_seconds`` (sum over cycles of the *slowest* partition's
-    time -- the barrier critical path, i.e. what a host with >= P free
-    cores pays per cycle).
-    """
-
-    name = "abstract"
-    #: How lane rows move during the exchange: ``"local"`` (same address
-    #: space), ``"pipe"`` (pickled over multiprocessing pipes), ``"shm"``
-    #: (shared-memory lane planes), or ``"socket"`` (TCP frames).
-    transport = "local"
-    step_total_seconds: float = 0.0
-    step_max_seconds: float = 0.0
-
-    def _account(self, durations: Sequence[float]) -> None:
-        self.step_total_seconds += sum(durations)
-        self.step_max_seconds += max(durations, default=0.0)
-
-    def poke(self, index: int, name: str, value) -> None:
-        raise NotImplementedError
-
-    def peek(self, index: int, name: str) -> List[int]:
-        raise NotImplementedError
-
-    def collect(self) -> List[ExportRows]:
-        """Every partition's current export rows, without stepping."""
-        raise NotImplementedError
-
-    def step_collect(self, clock: Optional[str] = None) -> List[ExportRows]:
-        """Advance every partition one edge and gather export rows."""
-        raise NotImplementedError
-
-    def apply_sync(self, updates: Sequence[ExportRows]) -> None:
-        """Refresh replica inputs: ``updates[i]`` goes to partition i."""
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        raise NotImplementedError
-
-    def snapshot(self) -> List[object]:
-        raise NotImplementedError
-
-    def restore(self, states: Sequence[object]) -> None:
-        raise NotImplementedError
-
-    def export_lane(self, lane: int) -> List[List[int]]:
-        """One lane's per-partition slot-value columns (portable ints)."""
-        raise NotImplementedError
-
-    def import_lane(self, lane: int, states: Sequence[Sequence[int]]) -> None:
-        """Load one lane into every partition from ``export_lane`` output."""
-        raise NotImplementedError
-
-    def activity_stats(self) -> List[object]:
-        """Per-partition :class:`~repro.kernels.activity.ActivityStats`
-        (``None`` entries for plain kernels) -- the settle-skipping
-        observability surface when partitions run activity kernels."""
-        raise NotImplementedError
-
-    def describe(self) -> List[str]:
-        """Per-partition ``backend/style`` strings (reporting only)."""
-        raise NotImplementedError
+    def recv(self, timeout: Optional[float] = None):
+        return ["ok", self._pending()]
 
     def close(self) -> None:
         pass
 
 
-# ----------------------------------------------------------------------
-# In-process executors
-# ----------------------------------------------------------------------
-class SerialExecutor(BaseExecutor):
-    """Deterministic in-process reference: partitions step in index order."""
+class PipeChannel:
+    """One end of a ``multiprocessing`` pipe carrying whole frames."""
 
-    name = "serial"
+    def __init__(self, conn, label: str = "") -> None:
+        self.label = label
+        self._conn = conn
 
-    def __init__(
-        self,
-        partitions: Sequence[Partition],
-        lanes: int,
-        kernel,
-        backend: str,
-        exports: Sequence[Sequence[str]],
-    ) -> None:
-        self.exports = [list(names) for names in exports]
-        self.sims = [
-            _make_partition_sim(p, lanes, kernel, backend) for p in partitions
-        ]
+    def send(self, message) -> None:
+        self._conn.send_bytes(wire.encode(message))
 
-    def poke(self, index: int, name: str, value) -> None:
-        self.sims[index].poke(name, value)
-
-    def peek(self, index: int, name: str) -> List[int]:
-        return self.sims[index].peek(name)
-
-    def _exports_of(self, index: int) -> ExportRows:
-        sim = self.sims[index]
-        # Exported names are register state slots: valid post-commit
-        # without settling, so the exchange never pays an extra comb pass.
-        return {
-            name: sim.peek_row(name, settle=False)
-            for name in self.exports[index]
-        }
-
-    def collect(self) -> List[ExportRows]:
-        return [self._exports_of(i) for i in range(len(self.sims))]
-
-    def step_collect(self, clock: Optional[str] = None) -> List[ExportRows]:
-        results = []
-        durations = []
-        for index, sim in enumerate(self.sims):
-            start = time.perf_counter()
-            _step_one(sim, clock)
-            results.append(self._exports_of(index))
-            durations.append(time.perf_counter() - start)
-        self._account(durations)
-        return results
-
-    def apply_sync(self, updates: Sequence[ExportRows]) -> None:
-        _require_count(self, "apply_sync", len(updates), len(self.sims))
-        for sim, rows in zip(self.sims, updates):
-            for name, row in rows.items():
-                sim.poke_row(name, row)
-
-    def reset(self) -> None:
-        for sim in self.sims:
-            sim.reset()
-
-    def snapshot(self) -> List[object]:
-        return [sim.snapshot() for sim in self.sims]
-
-    def restore(self, states: Sequence[object]) -> None:
-        _require_count(self, "restore", len(states), len(self.sims))
-        for sim, state in zip(self.sims, states):
-            sim.restore(state)
-
-    def export_lane(self, lane: int) -> List[List[int]]:
-        return [sim.export_lane(lane) for sim in self.sims]
-
-    def import_lane(self, lane: int, states: Sequence[Sequence[int]]) -> None:
-        _require_count(self, "import_lane", len(states), len(self.sims))
-        for sim, state in zip(self.sims, states):
-            sim.import_lane(lane, state)
-
-    def activity_stats(self) -> List[object]:
-        return [sim.activity_stats for sim in self.sims]
-
-    def describe(self) -> List[str]:
-        return [f"{sim.backend}/{sim.kernel.style}" for sim in self.sims]
-
-
-class ThreadExecutor(SerialExecutor):
-    """Thread-pool barrier step; everything else as the serial executor.
-
-    Each worker thread touches only its own partition simulator, and the
-    barrier in :meth:`step_collect` serialises against the main thread's
-    pokes/syncs, so no locking is needed.
-    """
-
-    name = "thread"
-
-    def __init__(self, partitions, lanes, kernel, backend, exports) -> None:
-        super().__init__(partitions, lanes, kernel, backend, exports)
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._pool = ThreadPoolExecutor(
-            max_workers=len(self.sims), thread_name_prefix="shard"
-        )
-
-    def step_collect(self, clock: Optional[str] = None) -> List[ExportRows]:
-        def run(index: int):
-            start = time.perf_counter()
-            _step_one(self.sims[index], clock)
-            exports = self._exports_of(index)
-            return exports, time.perf_counter() - start
-
-        results = list(self._pool.map(run, range(len(self.sims))))
-        self._account([duration for _, duration in results])
-        return [exports for exports, _ in results]
+    def recv(self, timeout: Optional[float] = None):
+        if timeout is not None and not self._conn.poll(timeout):
+            raise TimeoutError(f"no frame within {timeout}s")
+        return wire.decode_frame(self._conn.recv_bytes())
 
     def close(self) -> None:
-        self._pool.shutdown()
+        self._conn.close()
 
 
-# ----------------------------------------------------------------------
-# Process-pool executor
-# ----------------------------------------------------------------------
-def _resolve_graph_ref(graph_ref):
-    """A worker-side graph reference: ``("graph", g)`` carries the pickled
-    partition graph itself; ``("cache", root, digest)`` names a ``pgraph``
-    entry in the :mod:`repro.serve` artifact cache the worker loads
-    locally -- the spawn pipe then ships a few hundred bytes instead of
-    the whole graph.  A missing/corrupt cache entry raises (the parent
-    falls back to respawning with the inline form)."""
-    kind, *payload = graph_ref
-    if kind == "graph":
-        return payload[0]
-    root, digest = payload
-    from ..serve.artifacts import ArtifactCache
+def _graph_ref(partition: Partition, in_process: bool) -> dict:
+    """The smallest setup payload for a partition graph: the live object
+    for an in-process channel, else a ``pgraph`` cache key when the
+    artifact cache is active (publishing the graph first if needed),
+    else the inline document."""
+    from ..serve import artifacts
 
-    graph = ArtifactCache(root).get("pgraph", digest)
-    if graph is None:
-        raise RuntimeError(
-            f"pgraph cache entry {digest[:12]} missing from {root}"
-        )
-    return graph
+    if in_process:
+        return {"graph": partition.graph}
+    cache = artifacts.get_cache()
+    if cache is not None:
+        digest = artifacts.design_fingerprint(partition.graph, stage="pgraph")
+        if (cache.get("pgraph", digest) is not None
+                or cache.put("pgraph", digest, partition.graph) is not None):
+            return {"cache": digest}
+    return {"doc": graph_to_doc(partition.graph)}
 
 
-def _attach_shm(name: str):
-    """Attach an existing shared-memory segment without registering it
-    with the resource tracker -- the creating parent owns the segment's
-    lifetime; a tracked attach would double-unlink it at worker exit."""
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # track= needs Python 3.13
-        # Older interpreters: suppress the tracker registration during
-        # attach.  (Un)registering after the fact is wrong under fork --
-        # the worker shares the parent's tracker process, so an
-        # unregister here would drop the *parent's* entry for the
-        # segment and make its own unlink complain at exit.
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
+def _is_pgraph_cache_miss(text) -> bool:
+    """The one setup failure worth a retry: the worker could not
+    resolve a ``pgraph`` cache key.  Anything else -- a genuine
+    worker-side compile error -- would fail identically on retry and
+    must surface as-is."""
+    message = str(text)
+    return "pgraph cache entry" in message and "missing" in message
 
 
-class _WorkerPlanes:
-    """Worker-side view of the shared lane planes (lazy attach).
+class ChannelExecutor:
+    """The command set the sharded simulator drives (see module docs).
 
-    ``spec`` is the parent's table: ``planes`` names every partition's
-    segment, ``index``/``rows`` locate this worker's own export rows,
-    ``imports`` maps replica-input names to ``(writer, row)`` sources.
+    Keeps two measured step-time accumulators: ``step_total_seconds``
+    (sum of every partition's kernel time) and ``step_max_seconds`` (sum
+    over cycles of the *slowest* partition's time -- the barrier
+    critical path, i.e. what a host with >= P free cores pays per
+    cycle).
+
+    ``routes`` is the RUM exchange schedule ``(name, writer, readers)``,
+    the only thing the channels need to know; ``hosts`` and
+    ``shm_planes`` are :class:`ShardedBatchSimulator`'s parameters.
     """
 
-    def __init__(self, spec, lanes: int):
-        self.spec = spec
-        self.lanes = lanes
-        self._segs = {}
-        self._views = {}
-        self._slots = None
-
-    def view(self, index: int):
-        if index not in self._views:
-            import numpy as np
-
-            name, rows = self.spec["planes"][index]
-            seg = _attach_shm(name)
-            self._segs[index] = seg
-            self._views[index] = np.ndarray(
-                (rows, self.lanes), dtype=np.uint64, buffer=seg.buf
-            )
-        return self._views[index]
-
-    def publish(self, sim: BatchSimulator) -> None:
-        """Write this worker's export rows into its own plane (one
-        vectorised gather: row *j* of the plane is export name *j*)."""
-        own = self.view(self.spec["index"])
-        if self._slots is None:
-            import numpy as np
-
-            ordered = sorted(self.spec["rows"].items(), key=lambda kv: kv[1])
-            self._slots = np.array(
-                [sim.bundle.signal_slots[name] for name, _ in ordered],
-                dtype=np.intp,
-            )
-        own[:] = sim.values[self._slots]
-
-    def adopt(self, sim: BatchSimulator, names) -> None:
-        """Refresh replica inputs straight from the writers' planes."""
-        for name in names:
-            writer, row_index = self.spec["imports"][name]
-            sim.adopt_row(name, self.view(writer)[row_index])
-
-    def close(self) -> None:
-        self._views.clear()
-        for seg in self._segs.values():
-            try:
-                seg.close()
-            except (OSError, BufferError):  # pragma: no cover
-                pass
-        self._segs.clear()
-
-
-def _shard_worker_main(conn, graph_ref, lanes, kernel, backend, export_names,
-                       shm_spec=None):
-    """One worker process: host a partition's BatchSimulator over a pipe.
-
-    Replies ``("ok", payload)`` or ``("err", traceback)`` to every
-    command; the first message is the construction handshake carrying the
-    resolved ``backend/style`` string.  With ``shm_spec`` the exchange
-    goes through shared lane planes: ``step``/``collect`` publish export
-    rows as index writes (the pipe reply carries only the duration) and
-    ``sync_shm`` adopts replica rows straight from the writers' planes.
-    """
-    planes = None
-    try:
-        sim = BatchSimulator(
-            _resolve_graph_ref(graph_ref), lanes=lanes, kernel=kernel,
-            backend=backend, optimize_graph=False,
-        )
-        if shm_spec is not None:
-            planes = _WorkerPlanes(shm_spec, lanes)
-    except Exception:
-        conn.send(("err", traceback.format_exc()))
-        conn.close()
-        return
-    conn.send(("ok", f"{sim.backend}/{sim.kernel.style}"))
-    while True:
-        try:
-            op, args = conn.recv()
-        except (EOFError, OSError):
-            break
-        try:
-            result = None
-            if op == "close":
-                conn.send(("ok", None))
-                break
-            if op == "step":
-                start = time.perf_counter()
-                _step_one(sim, args)
-                if planes is None:
-                    exports = {
-                        name: sim.peek_row(name, settle=False)
-                        for name in export_names
-                    }
-                else:
-                    planes.publish(sim)
-                    exports = None
-                result = (exports, time.perf_counter() - start)
-            elif op == "sync":
-                for name, row in args.items():
-                    sim.poke_row(name, row)
-            elif op == "sync_shm":
-                planes.adopt(sim, args)
-            elif op == "poke":
-                sim.poke(*args)
-            elif op == "peek":
-                result = sim.peek(args)
-            elif op == "collect":
-                if planes is None:
-                    result = {
-                        name: sim.peek_row(name, settle=False)
-                        for name in export_names
-                    }
-                else:
-                    planes.publish(sim)
-            elif op == "reset":
-                sim.reset()
-            elif op == "snapshot":
-                result = sim.export_state()
-            elif op == "restore":
-                sim.import_state(*args)
-            elif op == "export_lane":
-                result = sim.export_lane(args)
-            elif op == "import_lane":
-                sim.import_lane(*args)
-            elif op == "activity_stats":
-                # ActivityStats is a plain dataclass: pickles as-is.
-                result = sim.activity_stats
-            else:
-                raise ValueError(f"unknown shard worker command {op!r}")
-            conn.send(("ok", result))
-        except Exception:
-            conn.send(("err", traceback.format_exc()))
-    if planes is not None:
-        planes.close()
-    conn.close()
-
-
-def _handshake_recv(conn):
-    """Receive a worker's construction handshake, mapping a silent death
-    (EOF before the first reply) onto the same RuntimeError surface as a
-    worker-reported failure."""
-    try:
-        status, payload = conn.recv()
-    except (EOFError, OSError) as exc:
-        raise RuntimeError(
-            "shard worker died during the construction handshake "
-            f"({type(exc).__name__}: {exc})"
-        ) from exc
-    if status == "err":
-        raise RuntimeError(f"shard worker failed:\n{payload}")
-    return payload
-
-
-def _mp_context():
-    """Prefer fork (no re-import, cheap COW of the compiled frontend);
-    fall back to spawn where fork does not exist."""
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
-
-
-def _shm_eligibility(partitions, backend: str):
-    """Whether shared-memory lane planes can carry the exchange.
-
-    Returns ``(eligible, reason)``: the planes are uint64 rows, so every
-    partition must resolve onto the single-row u64 backend -- NumPy
-    present, no explicit object/limb/python request, and no slot wider
-    than :data:`~repro.batch.backend.U64_MAX_WIDTH` bits anywhere.
-    """
-    if not HAS_NUMPY:
-        return False, "NumPy is unavailable"
-    if backend not in ("auto", "u64"):
-        return False, f"backend {backend!r} does not use u64 planes"
-    for index, partition in enumerate(partitions):
-        widest = max(
-            (node.width for node in partition.graph.nodes), default=0
-        )
-        if widest > U64_MAX_WIDTH:
-            return False, (
-                f"partition {index} has {widest}-bit slots (> "
-                f"{U64_MAX_WIDTH}); the u64 plane cannot hold them"
-            )
-    return True, ""
-
-
-class ProcessExecutor(BaseExecutor):
-    """One worker process per partition, lane buffers over pipes or
-    shared-memory planes.
-
-    ``shm_planes=None`` (the default) takes the zero-copy path whenever
-    every partition fits the u64 plane, falling back to pickled pipe
-    rows otherwise; ``True`` requires it (raising when ineligible) and
-    ``False`` forces the pipe path.  ``transport`` reports which one is
-    live.
-    """
-
-    name = "process"
     #: Bounded wait for a worker's close acknowledgement and join; a
     #: wedged worker (stuck syscall, livelocked kernel) is terminated
     #: and, failing that, killed, instead of hanging close() forever.
     close_timeout = 5.0
+    #: Loopback workers auto-spawned for ``executor="socket"``.
+    LOCAL_WORKER_CAP = 4
 
     def __init__(
         self,
+        name: str,
         partitions: Sequence[Partition],
         lanes: int,
         kernel,
         backend: str,
-        exports: Sequence[Sequence[str]],
         routes: Sequence[Tuple[str, int, Tuple[int, ...]]] = (),
+        hosts: Optional[Sequence] = None,
         shm_planes: Optional[bool] = None,
     ) -> None:
-        # KernelConfig instances carry only data, but the name round-trips
-        # through get_kernel_config identically and pickles smaller.
-        kernel_arg = kernel.name if isinstance(kernel, KernelConfig) else kernel
-        ctx = _mp_context()
-        self._conns = []
-        self._procs = []
-        self._shm_segs = []
-        self._planes = []
-        self._prev_planes = []
-        self._prev_valid = False
-        self._export_index: List[Dict[str, int]] = []
-        self._imports: List[Dict[str, Tuple[int, int]]] = []
-        self.lanes = lanes
-        self.transport = "pipe"
-        eligible, reason = _shm_eligibility(partitions, backend)
-        if shm_planes is True and not eligible:
-            raise RuntimeError(f"shm_planes=True but {reason}")
-        use_shm = eligible if shm_planes is None else bool(shm_planes)
-        shm_specs: List[Optional[dict]] = [None] * len(partitions)
-        if use_shm:
-            shm_specs = self._create_planes(partitions, lanes, exports,
-                                            routes)
-            self.transport = "shm"
+        if name not in EXECUTORS:
+            raise KeyError(
+                f"unknown executor {name!r}; choose from {', '.join(EXECUTORS)}"
+            )
+        if hosts is not None and name != "socket":
+            raise ValueError(
+                f"hosts= applies to the socket executor, not {name!r}"
+            )
+        if shm_planes is not None and name != "process":
+            raise ValueError(
+                f"shm_planes= applies to the process executor, not {name!r}"
+            )
+        self.name = name
+        #: How lane rows move: "local", "pipe", "shm" or "socket".
+        self.transport = {"process": "pipe", "socket": "socket"}.get(
+            name, "local"
+        )
+        self.step_total_seconds = 0.0
+        self.step_max_seconds = 0.0
+        self._partitions = len(partitions)
+        self._channels: list = []
+        self._procs: list = []
+        self._pool = None
+        self._planes: Optional[LanePlanes] = None
+        #: Lane state changed without a publish (reset, restore, import):
+        #: the next plane report carries every row, not just changed ones.
+        self._jumped = False
+        if name == "process":
+            eligible, reason = shm_eligibility(partitions, backend)
+            if shm_planes and not eligible:
+                raise RuntimeError(f"shm_planes=True but {reason}")
+            if eligible if shm_planes is None else shm_planes:
+                self.transport = "shm"
         try:
-            self._styles = []
-            for index, (partition, names) in enumerate(
-                zip(partitions, exports)
-            ):
-                ref = self._graph_ref(partition)
-                refs = [ref]
-                if ref[0] == "cache":
-                    refs.append(("graph", partition.graph))
-                # When the artifact cache is warm the worker loads its
-                # partition graph from the pgraph entry by key (spawn
-                # args stay tiny); a stale/evicted entry fails the
-                # handshake, and the worker is respawned with the
-                # inline pickled graph instead of failing the build.
-                while True:
-                    ref = refs.pop(0)
-                    parent, child = ctx.Pipe()
-                    proc = ctx.Process(
-                        target=_shard_worker_main,
-                        args=(child, ref, lanes, kernel_arg, backend,
-                              list(names), shm_specs[index]),
-                        daemon=True,
-                    )
-                    proc.start()
-                    child.close()
-                    try:
-                        # Construction handshake: surfaces worker-side
-                        # compile errors (e.g. an explicit u64 request on
-                        # a wide partition) here.
-                        style = _handshake_recv(parent)
-                    except RuntimeError as exc:
-                        parent.close()
-                        proc.join(timeout=5)
-                        # Respawn with the inline graph only on the one
-                        # retryable failure (a stale/evicted pgraph
-                        # entry); a genuine worker-side error would fail
-                        # identically on retry, and retrying would bury
-                        # its traceback under the second attempt's.
-                        if refs and _is_pgraph_cache_miss(exc):
-                            continue
-                        raise
-                    self._conns.append(parent)
-                    self._procs.append(proc)
-                    self._styles.append(style)
-                    break
+            self._open(hosts)
+            self._setup(partitions, lanes, kernel, backend, routes)
         except Exception:
             self.close()
             raise
 
-    def _create_planes(self, partitions, lanes, exports, routes):
-        """Allocate one shared ``(rows, B)`` uint64 plane per partition
-        and derive the worker-side index tables from the routes."""
-        import numpy as np
-        from multiprocessing import shared_memory
+    # ------------------------------------------------------------------
+    # Topology
+    # ------------------------------------------------------------------
+    def _open(self, hosts) -> None:
+        """Open the channels and fix the partition -> (channel, local
+        index) map: round-robin over socket hosts, else one channel per
+        partition."""
+        count = self._partitions
+        if self.name == "socket":
+            if hosts is None:
+                hosts, self._procs = spawn_local_workers(
+                    min(count, self.LOCAL_WORKER_CAP) or 1, sessions=1
+                )
+            if not hosts:
+                raise ValueError("socket executor needs at least one host")
+            self._members = [
+                list(range(h, count, len(hosts))) for h in range(len(hosts))
+            ]
+            for host, members in zip(hosts, self._members):
+                self._channels.append(SocketChannel.connect(host, members))
+        else:
+            self._members = [[p] for p in range(count)]
+            if self.name == "thread":
+                from concurrent.futures import ThreadPoolExecutor
 
-        plane_table = []
-        for names in exports:
-            rows = len(names)
-            seg = shared_memory.SharedMemory(
-                create=True, size=max(1, rows * lanes * 8)
-            )
-            self._shm_segs.append(seg)
-            plane = (
-                np.ndarray((rows, lanes), dtype=np.uint64, buffer=seg.buf)
-                if rows else None
-            )
-            self._planes.append(plane)
-            # A private copy of each plane, for the parent's vectorised
-            # change mask: rows equal to the previous step never
-            # materialise as Python lists.
-            self._prev_planes.append(
-                np.empty_like(plane) if plane is not None else None
-            )
-            self._export_index.append({n: j for j, n in enumerate(names)})
-            plane_table.append((seg.name, rows))
-        self._imports = [{} for _ in partitions]
+                self._pool = ThreadPoolExecutor(
+                    max_workers=max(1, count), thread_name_prefix="shard"
+                )
+            ctx = mp_context() if self.name == "process" else None
+            for p in range(count):
+                if ctx is None:
+                    self._channels.append(InlineChannel(str(p), self._pool))
+                    continue
+                parent, child = ctx.Pipe()
+                proc = ctx.Process(
+                    target=serve, daemon=True,
+                    args=(PipeChannel(child), WorkerCore(shm=True)),
+                )
+                proc.start()
+                child.close()
+                self._procs.append(proc)
+                self._channels.append(PipeChannel(parent, str(p)))
+        self._home = {
+            p: (h, local)
+            for h, members in enumerate(self._members)
+            for local, p in enumerate(members)
+        }
+
+    def _setup(self, partitions, lanes, kernel, backend, routes) -> None:
+        """Derive the static exchange schedule from the routes and set
+        every worker up, all channels in flight at once (workers compile
+        concurrently)."""
+        # A partition exports the rows others read.  Route legs inside
+        # one channel are applied worker-side; a row is reported only if
+        # some reader lives behind another channel.
+        exports: List[list] = [[] for _ in partitions]
+        report: List[list] = [[] for _ in partitions]
+        self._self_applied: List[set] = [set() for _ in partitions]
+        local_routes: List[list] = [[] for _ in self._channels]
         for name, writer, readers in routes:
-            source = (writer, self._export_index[writer][name])
-            for reader in readers:
-                self._imports[reader][name] = source
-        return [
-            {
-                "planes": plane_table,
-                "index": i,
-                "rows": self._export_index[i],
-                "imports": self._imports[i],
+            exports[writer].append(name)
+            h, writer_local = self._home[writer]
+            co_hosted = [r for r in readers if self._home[r][0] == h]
+            if co_hosted:
+                local_routes[h].append(
+                    [writer_local, name, [self._home[r][1] for r in co_hosted]]
+                )
+                for r in co_hosted:
+                    self._self_applied[r].add(name)
+            if len(co_hosted) < len(readers):
+                report[writer].append(name)
+        if self.transport == "shm":  # the planes carry the rows instead
+            self._planes = LanePlanes(lanes, exports, routes)
+            report = [[] for _ in partitions]
+
+        def spec(h: int, graphs: list) -> dict:
+            return {
+                "lanes": lanes,
+                # A KernelConfig round-trips through its name.
+                "kernel": getattr(kernel, "name", kernel),
+                "backend": backend,
+                "partitions": [
+                    {
+                        "graph": graph,
+                        "exports": exports[p],
+                        "report": report[p],
+                        "planes": self._planes and self._planes.spec(p),
+                    }
+                    for p, graph in zip(self._members[h], graphs)
+                ],
+                "routes": local_routes[h],
             }
-            for i in range(len(partitions))
-        ]
 
-    def _release_planes(self) -> None:
-        self._planes = []
-        self._prev_planes = []
-        for seg in self._shm_segs:
+        # The cache key first (a few hundred bytes per graph); only a
+        # worker that cannot resolve it is sent the inline document.
+        in_process = self.transport == "local"
+        refs = [[_graph_ref(partitions[p], in_process) for p in members]
+                for members in self._members]
+        for h in range(len(self._channels)):
+            self._send(h, "setup", spec(h, refs[h]))
+        self._styles = [""] * self._partitions
+        for h, members in enumerate(self._members):
             try:
-                seg.close()
-            except BufferError:  # pragma: no cover - view still alive
-                pass
-            try:
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-        self._shm_segs = []
-
-    @staticmethod
-    def _graph_ref(partition: Partition):
-        """The smallest spawn payload for a partition graph: a pgraph
-        cache key when the artifact cache is active (publishing the graph
-        first if needed), else the inline graph."""
-        from ..serve import artifacts
-
-        cache = artifacts.get_cache()
-        if cache is None:
-            return ("graph", partition.graph)
-        digest = artifacts.design_fingerprint(partition.graph, stage="pgraph")
-        if cache.get("pgraph", digest) is None:
-            if cache.put("pgraph", digest, partition.graph) is None:
-                return ("graph", partition.graph)
-        return ("cache", str(cache.root), digest)
+                styles = self._recv(h)
+            except RuntimeError as exc:
+                if not _is_pgraph_cache_miss(exc):
+                    raise
+                styles = self._call(h, "setup", spec(h, [
+                    {"doc": graph_to_doc(partitions[p].graph)}
+                    for p in members
+                ]))
+            for p, style in zip(members, styles):
+                self._styles[p] = style
 
     # ------------------------------------------------------------------
-    def _send(self, index: int, op: str, args=None) -> None:
-        try:
-            self._conns[index].send((op, args))
-        except (OSError, BrokenPipeError) as exc:
-            raise RuntimeError(
-                f"shard worker {index} is gone "
-                f"({type(exc).__name__}: {exc}); close() this executor "
-                "and build a fresh one"
-            ) from exc
+    # Channel traffic
+    # ------------------------------------------------------------------
+    def _gone(self, h: int, what: str, exc: Exception) -> RuntimeError:
+        return RuntimeError(
+            f"shard worker {self._channels[h].label} {what} "
+            f"({type(exc).__name__}: {exc}); close() this executor and "
+            "build a fresh one"
+        )
 
-    def _recv(self, index: int):
+    def _send(self, h: int, op: str, args=None) -> None:
         try:
-            status, payload = self._conns[index].recv()
-        except (EOFError, OSError) as exc:
+            self._channels[h].send([op, args])
+        except PEER_GONE as exc:
+            raise self._gone(h, "is gone", exc) from exc
+
+    def _recv(self, h: int):
+        try:
+            status, payload = self._channels[h].recv()
+        except PEER_GONE + (ValueError,) as exc:  # incl. wire.FrameError
+            raise self._gone(h, "died mid-command", exc) from exc
+        if status != "ok":
             raise RuntimeError(
-                f"shard worker {index} died mid-command "
-                f"({type(exc).__name__}: {exc}); close() this executor "
-                "and build a fresh one"
-            ) from exc
-        if status == "err":
-            raise RuntimeError(f"shard worker {index} failed:\n{payload}")
+                f"shard worker {self._channels[h].label} failed:\n{payload}"
+            )
         return payload
 
-    def _call(self, index: int, op: str, args=None):
-        self._send(index, op, args)
-        return self._recv(index)
+    def _call(self, h: int, op: str, args=None):
+        self._send(h, op, args)
+        return self._recv(h)
 
-    def _broadcast(self, op: str, args=None) -> List[object]:
-        for index in range(len(self._conns)):
-            self._send(index, op, args)
-        return [self._recv(index) for index in range(len(self._conns))]
+    def _gather(self, op: str, args=None) -> list:
+        """Broadcast an op whose reply is one payload per local
+        partition; reassemble into global partition order."""
+        for h in range(len(self._channels)):
+            self._send(h, op, args)
+        out: list = [None] * self._partitions
+        for h, members in enumerate(self._members):
+            for p, payload in zip(members, self._recv(h) or ()):
+                out[p] = payload
+        return out
 
-    def _plane_rows(self, index: int) -> ExportRows:
-        """Every export row of one plane, materialised (and remembered
-        as the change-mask baseline)."""
-        view = self._planes[index]
-        if view is None:
-            return {}
-        self._prev_planes[index][:] = view
-        return {
-            name: view[j].tolist()
-            for name, j in self._export_index[index].items()
-        }
+    def _require_count(self, op: str, got: int) -> None:
+        """Refuse partition-indexed payloads of the wrong length: a
+        short list must fail loudly, not leave trailing partitions
+        stale."""
+        if got != self._partitions:
+            raise ValueError(
+                f"{self.name} executor {op}() got {got} partition "
+                f"entries, expected {self._partitions} -- was this state "
+                "captured under a different partitioning?"
+            )
 
-    def _changed_rows(self, index: int) -> ExportRows:
-        """Only the export rows that changed since the last report.
-
-        The compare runs vectorised against the parent's private copy of
-        the plane; for a quiescent register nothing crosses into Python.
-        The coordinator counts rows absent from a report as natively
-        suppressed, so the differential-exchange semantics (and its
-        counters) are unchanged."""
-        view = self._planes[index]
-        if view is None:
-            return {}
-        prev = self._prev_planes[index]
-        changed = (view != prev).any(axis=1)
-        if not changed.any():
-            return {}
-        prev[:] = view
-        return {
-            name: view[j].tolist()
-            for name, j in self._export_index[index].items()
-            if changed[j]
-        }
+    def _scatter(self, op: str, per_partition: Sequence) -> None:
+        """Send each channel its partitions' payloads (local order) and
+        await the acks."""
+        self._require_count(op, len(per_partition))
+        for h, members in enumerate(self._members):
+            self._send(h, op, [per_partition[p] for p in members])
+        for h in range(len(self._channels)):
+            self._recv(h)
 
     # ------------------------------------------------------------------
+    # The command set
+    # ------------------------------------------------------------------
     def poke(self, index: int, name: str, value) -> None:
-        self._call(index, "poke", (name, value))
+        h, local = self._home[index]
+        self._call(h, "poke", [local, name, value])
 
     def peek(self, index: int, name: str) -> List[int]:
-        return self._call(index, "peek", name)
+        h, local = self._home[index]
+        return self._call(h, "peek", [local, name])
 
     def collect(self) -> List[ExportRows]:
-        results = self._broadcast("collect")
-        if self.transport == "shm":
-            rows = [self._plane_rows(i) for i in range(len(self._conns))]
-            self._prev_valid = True
-            return rows
-        return results
+        """Every partition's current export rows, without stepping."""
+        rows = self._gather("collect")
+        if self._planes is not None:
+            self._jumped = False
+            return self._planes.report(full=True)
+        return rows
 
     def step_collect(self, clock: Optional[str] = None) -> List[ExportRows]:
-        results = self._broadcast("step", clock)
-        self._account([duration for _, duration in results])
-        if self.transport == "shm":
-            if not self._prev_valid:
-                rows = [self._plane_rows(i) for i in range(len(self._conns))]
-                self._prev_valid = True
-                return rows
-            return [self._changed_rows(i) for i in range(len(self._conns))]
-        return [exports for exports, _ in results]
+        """Advance every partition one edge and gather export rows."""
+        stepped = self._gather("step", clock)
+        seconds = [duration for _, duration in stepped]
+        self.step_total_seconds += sum(seconds)
+        self.step_max_seconds += max(seconds, default=0.0)
+        if self._planes is not None:
+            full, self._jumped = self._jumped, False
+            return self._planes.report(full)
+        return [rows for rows, _ in stepped]
 
     def apply_sync(self, updates: Sequence[ExportRows]) -> None:
-        _require_count(self, "apply_sync", len(updates), len(self._conns))
-        if self.transport != "shm":
-            active = [i for i, rows in enumerate(updates) if rows]
-            for i in active:
-                self._send(i, "sync", updates[i])
-            for i in active:
-                self._recv(i)
-            return
-        # Shared-memory path: ship row *names*; each worker adopts the
-        # rows straight from the writers' planes.  Rows the schedule does
-        # not know (an executor driven without routes) fall back to the
-        # pickled form.
-        pending = []
-        for i, rows in enumerate(updates):
-            known = [n for n in rows if n in self._imports[i]]
-            rest = {n: r for n, r in rows.items()
-                    if n not in self._imports[i]}
-            if known:
-                self._send(i, "sync_shm", known)
-                pending.append(i)
-            if rest:
-                self._send(i, "sync", rest)
-                pending.append(i)
-        for i in pending:
-            self._recv(i)
+        """Refresh replica inputs: ``updates[i]`` goes to partition i.
+        Rows a worker already applied itself are dropped; rows a reader
+        can adopt from the writer's plane travel as names only."""
+        self._require_count("apply_sync", len(updates))
+        frames: List[list] = [[] for _ in self._channels]
+        for p, update in enumerate(updates):
+            applied = self._self_applied[p]
+            known = self._planes.imports[p] if self._planes is not None else ()
+            rows, adopt = {}, []
+            for name, row in update.items():
+                if name in known:
+                    adopt.append(name)
+                elif name not in applied:
+                    rows[name] = row
+            if rows or adopt:
+                h, local = self._home[p]
+                frames[h].append([local, rows, adopt])
+        pending = [h for h, frame in enumerate(frames) if frame]
+        for h in pending:
+            self._send(h, "sync", frames[h])
+        for h in pending:
+            self._recv(h)
 
     def reset(self) -> None:
-        # Lane state jumped without a publish: the change-mask baseline
-        # is stale, so the next step reports every row (same for
-        # restore/import_lane below).
-        self._prev_valid = False
-        self._broadcast("reset")
+        self._jumped = True
+        self._gather("reset")
 
     def snapshot(self) -> List[object]:
-        return self._broadcast("snapshot")
+        """Per partition ``[slot rows, cycle]`` (portable ints)."""
+        return self._gather("snapshot")
 
     def restore(self, states: Sequence[object]) -> None:
-        _require_count(self, "restore", len(states), len(self._conns))
-        self._prev_valid = False
-        for i, state in enumerate(states):
-            self._send(i, "restore", state)
-        for i in range(len(states)):
-            self._recv(i)
+        self._jumped = True
+        self._scatter("restore", states)
 
     def export_lane(self, lane: int) -> List[List[int]]:
-        return self._broadcast("export_lane", lane)
+        """One lane's per-partition slot-value columns (portable ints)."""
+        return self._gather("export_lane", lane)
 
     def import_lane(self, lane: int, states: Sequence[Sequence[int]]) -> None:
-        _require_count(self, "import_lane", len(states), len(self._conns))
-        self._prev_valid = False
-        for i, state in enumerate(states):
-            self._send(i, "import_lane", (lane, state))
-        for i in range(len(states)):
-            self._recv(i)
+        """Load one lane into every partition from ``export_lane`` output."""
+        self._jumped = True
+        self._scatter("import_lane", [[lane, state] for state in states])
 
-    def activity_stats(self) -> List[object]:
-        return self._broadcast("activity_stats")
+    def activity_stats(self) -> List[Optional[ActivityStats]]:
+        """Per-partition :class:`~repro.kernels.activity.ActivityStats`
+        (``None`` entries for plain kernels)."""
+        return [
+            None if doc is None else ActivityStats.from_dict(doc)
+            for doc in self._gather("activity_stats")
+        ]
 
     def describe(self) -> List[str]:
+        """Per-partition ``backend/style`` strings (reporting only)."""
         return list(self._styles)
 
     def close(self) -> None:
-        for conn in self._conns:
+        """Close every session, reap every spawned worker (ack wait,
+        join, terminate, kill), release the planes."""
+        sessions = len(self._channels)
+        for channel in self._channels:
             try:
-                conn.send(("close", None))
-                # A dead or wedged worker never acknowledges; a bare
-                # recv() here would block forever.  poll() bounds the
-                # wait so the join/terminate ladder below actually runs.
-                if conn.poll(self.close_timeout):
-                    conn.recv()
-            except (OSError, EOFError, BrokenPipeError):
+                channel.send(["close", None])
+                channel.recv(self.close_timeout)
+            except PEER_GONE + (ValueError,):
                 pass
-            conn.close()
-        for proc in self._procs:
-            proc.join(timeout=self.close_timeout)
-            if proc.is_alive():  # pragma: no cover - stuck worker
+            try:
+                channel.close()
+            except OSError:  # pragma: no cover - already torn down
+                pass
+        self._channels = []
+        for index, proc in enumerate(self._procs):
+            # A worker that never got a session has no ack to wait for.
+            proc.join(timeout=self.close_timeout if index < sessions else 0)
+            if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1)
             if proc.is_alive():  # pragma: no cover - unkillable worker
                 proc.kill()
                 proc.join(timeout=1)
-        self._conns = []
         self._procs = []
-        self._release_planes()
-
-
-# ----------------------------------------------------------------------
-_EXECUTOR_CLASSES = {
-    "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
-}
-
-
-def make_executor(
-    name: str,
-    partitions: Sequence[Partition],
-    lanes: int,
-    kernel,
-    backend: str,
-    exports: Sequence[Sequence[str]],
-    routes: Sequence[Tuple[str, int, Tuple[int, ...]]] = (),
-    hosts: Optional[Sequence] = None,
-    shm_planes: Optional[bool] = None,
-) -> BaseExecutor:
-    """Instantiate an executor by name (one of :data:`EXECUTORS`).
-
-    ``routes`` is the RUM exchange schedule ``(name, writer, readers)``
-    -- the process executor derives its shared-memory import tables from
-    it, the socket executor its static per-host exchange plan.
-    ``hosts`` (socket only) names running ``shard-worker`` endpoints;
-    ``shm_planes`` (process only) requests/forbids the shared-memory
-    lane planes.
-    """
-    if name == "socket":
-        if shm_planes is not None:
-            raise ValueError(
-                "shm_planes= applies to the process executor, not socket"
-            )
-        from .remote import SocketExecutor
-
-        return SocketExecutor(
-            partitions, lanes, kernel, backend, exports,
-            routes=routes, hosts=hosts,
-        )
-    if hosts is not None:
-        raise ValueError(
-            f"hosts= applies to the socket executor, not {name!r}"
-        )
-    if name == "process":
-        return ProcessExecutor(
-            partitions, lanes, kernel, backend, exports,
-            routes=routes, shm_planes=shm_planes,
-        )
-    if shm_planes is not None:
-        raise ValueError(
-            f"shm_planes= applies to the process executor, not {name!r}"
-        )
-    cls = _EXECUTOR_CLASSES.get(name)
-    if cls is None:
-        raise KeyError(
-            f"unknown executor {name!r}; choose from {', '.join(EXECUTORS)}"
-        )
-    return cls(partitions, lanes, kernel, backend, exports)
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+        if self._planes is not None:
+            self._planes.release()
+            self._planes = None

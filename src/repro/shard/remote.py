@@ -1,319 +1,120 @@
-"""Socket transport for the shard worker protocol: partitions on hosts.
+"""The TCP channel of the shard worker protocol: partitions on hosts.
 
-The process executor's ``(op, args)`` pipe protocol is already
-transport-agnostic; this module puts it on a wire.  A *shard worker* is
-a TCP server (``repro.experiments shard-worker`` or
-:func:`serve_shard_worker`) hosting N partition
-:class:`~repro.batch.BatchSimulator` instances for one coordinator at a
-time; :class:`SocketExecutor` is the coordinator side, speaking
-length-prefixed pickle frames and plugging into
-:class:`~repro.shard.ShardedBatchSimulator` as ``executor="socket"``.
-
-Three things make it a distributed executor rather than a pipe with a
-port number:
-
-* **Cache-keyed graph shipping** -- setup sends each partition graph as
-  a ``pgraph`` artifact-cache reference first (a few hundred bytes); the
-  worker resolves it from the named root or its own configured cache,
-  and only a genuine cache miss makes the coordinator reconnect with the
-  inline pickled graph.
-* **A static exchange schedule** -- computed once from the RUM routes at
-  construction.  Each worker knows which of its export rows have
-  *off-host* readers (only those rows ever cross the wire) and which
-  routes are entirely host-local (applied worker-side, without a
-  round-trip through the coordinator).
-* **Overlapped export streaming** -- during ``step`` a worker sends the
-  export frame for partition i as soon as it settles, while partition
-  i+1 is still stepping; the coordinator's recv barrier sits at sync
-  time, and the per-partition kernel durations still feed the
-  ``step_max_seconds`` critical-path accounting.
-
-Frames are pickled Python objects on a length prefix.  Pickle over a
-socket means *trusted links only* -- the worker executes whatever the
-coordinator sends (and vice versa); run it on loopback, a private
-cluster network, or an authenticated tunnel, never on an open port.
+A *shard worker* is a TCP server (``repro.experiments shard-worker`` or
+:func:`serve_shard_worker`) running the one worker loop
+(:func:`repro.shard.worker.serve`) for one coordinator session at a
+time; :class:`SocketChannel` is either end of such a connection, which
+``executor="socket"`` opens once per host.  The frames are the
+:mod:`repro.wire` frames the process executor puts on its pipes; a
+malformed one ends that session while the worker keeps accepting.
 """
 
 from __future__ import annotations
 
-import pickle
 import socket
-import struct
-import time
+import sys
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..batch.simulator import BatchSimulator
-from ..kernels.config import KernelConfig
-from ..repcut.partition import Partition
-from .executors import (
-    BaseExecutor,
-    ExportRows,
-    ProcessExecutor,
-    _is_pgraph_cache_miss,
-    _mp_context,
-    _require_count,
-    _step_one,
-)
+from .. import wire
+from .worker import WorkerCore, mp_context, serve
 
-_LEN = struct.Struct(">I")
-#: Refuse frames above this size -- a corrupt length prefix must not
-#: make a worker try to allocate gigabytes.  Lane rows are int lists;
-#: even a wide design at B=1024 stays far below this.
-MAX_FRAME = 256 << 20
 #: Default TCP port for `shard-worker` when none is given.
 DEFAULT_PORT = 9555
 
 
-# ----------------------------------------------------------------------
-# Framing
-# ----------------------------------------------------------------------
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    while count:
-        chunk = sock.recv(min(count, 1 << 20))
-        if not chunk:
-            raise ConnectionError("shard socket closed mid-frame")
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
+def _parse_host(spec) -> Tuple[str, int]:
+    if isinstance(spec, (tuple, list)):
+        host, port = spec
+        return str(host), int(port)
+    text = str(spec)
+    if ":" in text:
+        host, _, port = text.rpartition(":")
+        return host, int(port)
+    return text, DEFAULT_PORT
 
 
-def send_frame(sock: socket.socket, payload: object) -> None:
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(blob) > MAX_FRAME:
-        raise ValueError(f"frame of {len(blob)} bytes exceeds MAX_FRAME")
-    sock.sendall(_LEN.pack(len(blob)) + blob)
+class SocketChannel:
+    """A connected TCP stream carrying frames, either end."""
 
+    connect_timeout = 10.0
+    #: Per-frame receive timeout during normal operation: generous (a
+    #: heavy partition step is slow), but bounded so a wedged worker
+    #: surfaces as a diagnostic error instead of a hang.
+    op_timeout = 600.0
 
-def recv_frame(sock: socket.socket) -> object:
-    (length,) = _LEN.unpack(_recv_exact(sock, _LEN.size))
-    if length > MAX_FRAME:
-        raise ConnectionError(
-            f"frame length {length} exceeds MAX_FRAME -- corrupt stream?"
+    def __init__(self, sock: socket.socket, label: str = "") -> None:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+        self.label = label
+
+    @classmethod
+    def connect(cls, host, members: Sequence[int]) -> "SocketChannel":
+        """Connect to the worker at ``host`` (``"host[:port]"`` or a
+        ``(host, port)`` pair) that will hold partitions ``members``."""
+        address = _parse_host(host)
+        sock = socket.create_connection(address, timeout=cls.connect_timeout)
+        sock.settimeout(cls.op_timeout)
+        return cls(
+            sock, f"{address[0]}:{address[1]} (partitions {list(members)})"
         )
-    return pickle.loads(_recv_exact(sock, length))
+
+    def send(self, message) -> None:
+        wire.send_frame(self._sock, message)
+
+    def recv(self, timeout: Optional[float] = None):
+        if timeout is not None:
+            self._sock.settimeout(timeout)
+        return wire.recv_frame(self._sock)
+
+    def close(self) -> None:
+        self._sock.close()
 
 
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def _resolve_worker_graph(ref):
-    """Resolve a setup graph reference on the worker host.
+def serve_shard_worker(server: socket.socket,
+                       max_sessions: Optional[int] = None) -> None:
+    """Host shard partitions for coordinators on a listening socket
+    (``socket.create_server``), one session at a time.
 
-    ``("graph", g)`` is the inline fallback.  ``("cache", root, digest)``
-    is tried against the named root first and then against the worker's
-    own configured artifact cache (a remote host pre-seeded with the
-    same content-addressed entries resolves coordinator refs without a
-    shared filesystem); a miss in both raises the diagnostic the
-    coordinator's retry logic keys on.
+    Each session is one executor's lifetime, and a fresh executor can
+    reconnect to the same worker after the previous one closed, died or
+    sent garbage.  ``max_sessions`` bounds the loop (an auto-spawned
+    loopback worker serves exactly one).  Closes ``server`` on return.
     """
-    kind, *payload = ref
-    if kind == "graph":
-        return payload[0]
-    root, digest = payload
-    from ..serve.artifacts import ArtifactCache, get_cache
-
-    graph = ArtifactCache(root).get("pgraph", digest)
-    if graph is None:
-        local = get_cache()
-        if local is not None and str(local.root) != str(root):
-            graph = local.get("pgraph", digest)
-    if graph is None:
-        raise RuntimeError(
-            f"pgraph cache entry {digest[:12]} missing from {root}"
-        )
-    return graph
-
-
-def _serve_connection(sock: socket.socket) -> None:
-    """One coordinator session: setup handshake, then the op loop."""
-    try:
-        op, spec = recv_frame(sock)
-    except (ConnectionError, EOFError, OSError):
-        return
-    try:
-        if op != "setup":
-            raise ValueError(f"expected setup frame, got {op!r}")
-        lanes = spec["lanes"]
-        sims = [
-            BatchSimulator(
-                _resolve_worker_graph(ref), lanes=lanes,
-                kernel=spec["kernel"], backend=spec["backend"],
-                optimize_graph=False,
-            )
-            for ref in spec["graphs"]
-        ]
-        exports: List[List[str]] = [list(n) for n in spec["exports"]]
-        report: List[List[str]] = [list(n) for n in spec["report"]]
-        #: Host-local routes: (writer_local, name, (reader_locals...)).
-        local_routes = list(spec["routes"])
-    except Exception:
-        try:
-            send_frame(sock, ("err", traceback.format_exc()))
-        except OSError:
-            pass
-        return
-    send_frame(
-        sock, ("ok", [f"{s.backend}/{s.kernel.style}" for s in sims])
-    )
-
-    def rows_of(index: int) -> ExportRows:
-        sim = sims[index]
-        return {
-            name: sim.peek_row(name, settle=False)
-            for name in exports[index]
-        }
-
-    def self_apply(rows_by_local: List[ExportRows]) -> None:
-        for writer, name, readers in local_routes:
-            row = rows_by_local[writer][name]
-            for reader in readers:
-                sims[reader].poke_row(name, row)
-
-    while True:
-        try:
-            op, args = recv_frame(sock)
-        except (ConnectionError, EOFError, OSError):
-            return
-        try:
-            result = None
-            if op == "close":
-                send_frame(sock, ("ok", None))
-                return
-            if op == "step":
-                # Stream each partition's off-host export rows as soon
-                # as it settles -- the coordinator overlaps this recv
-                # with the other hosts' compute; the trailing "done"
-                # frame is the per-host barrier.
-                rows_by_local = []
-                for i in range(len(sims)):
-                    start = time.perf_counter()
-                    _step_one(sims[i], args)
-                    rows = rows_of(i)
-                    duration = time.perf_counter() - start
-                    rows_by_local.append(rows)
-                    send_frame(sock, (
-                        "part", i,
-                        {name: rows[name] for name in report[i]},
-                        duration,
-                    ))
-                self_apply(rows_by_local)
-                send_frame(sock, ("done", None))
-                continue
-            if op == "collect":
-                rows_by_local = [rows_of(i) for i in range(len(sims))]
-                self_apply(rows_by_local)
-                result = [
-                    {name: rows_by_local[i][name] for name in report[i]}
-                    for i in range(len(sims))
-                ]
-            elif op == "sync":
-                for local_index, rows in args.items():
-                    for name, row in rows.items():
-                        sims[local_index].poke_row(name, row)
-            elif op == "poke":
-                local_index, name, values = args
-                sims[local_index].poke(name, values)
-            elif op == "peek":
-                local_index, name = args
-                result = sims[local_index].peek(name)
-            elif op == "reset":
-                for sim in sims:
-                    sim.reset()
-            elif op == "snapshot":
-                result = [sim.export_state() for sim in sims]
-            elif op == "restore":
-                for local_index, state in args.items():
-                    sims[local_index].import_state(*state)
-            elif op == "export_lane":
-                result = [sim.export_lane(args) for sim in sims]
-            elif op == "import_lane":
-                lane, states = args
-                for local_index, state in states.items():
-                    sims[local_index].import_lane(lane, state)
-            elif op == "activity_stats":
-                result = [sim.activity_stats for sim in sims]
-            else:
-                raise ValueError(f"unknown shard worker command {op!r}")
-            send_frame(sock, ("ok", result))
-        except Exception:
-            try:
-                send_frame(sock, ("err", traceback.format_exc()))
-            except OSError:
-                return
-
-
-def serve_shard_worker(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    announce=None,
-    max_sessions: Optional[int] = None,
-) -> None:
-    """Host shard partitions for coordinators, one session at a time.
-
-    Binds ``host:port`` (``port=0`` picks a free port, reported through
-    ``announce(port)``), then serves coordinator sessions sequentially:
-    each session is one executor's lifetime, and a fresh executor can
-    reconnect to the same worker after the previous one closed or died.
-    ``max_sessions`` bounds the loop for tests and one-shot smoke runs.
-    """
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    try:
-        server.bind((host, port))
-        server.listen(8)
-        if announce is not None:
-            announce(server.getsockname()[1])
-        served = 0
+    served = 0
+    with server:
         while max_sessions is None or served < max_sessions:
             conn, _peer = server.accept()
             served += 1
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             try:
-                _serve_connection(conn)
+                serve(SocketChannel(conn), WorkerCore())
+            except Exception:  # a session must never take the worker down
+                traceback.print_exc(file=sys.stderr)
             finally:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-    finally:
-        server.close()
+                conn.close()
 
 
-def _local_worker_main(conn) -> None:
-    """Entry point of an auto-spawned loopback worker process."""
-    serve_shard_worker(
-        "127.0.0.1", 0,
-        announce=lambda port: (conn.send(port), conn.close()),
-    )
-
-
-def spawn_local_workers(count: int):
+def spawn_local_workers(count: int, sessions: Optional[int] = None):
     """Spawn ``count`` loopback worker processes; returns (hosts, procs).
 
     The coordinator-side convenience behind ``executor="socket"`` with
-    no ``hosts=``: each worker binds an ephemeral 127.0.0.1 port and
-    announces it back over a pipe before accepting sessions.
+    no ``hosts=``: each worker inherits a socket already listening on an
+    ephemeral 127.0.0.1 port, so it is connectable at once.  With
+    ``sessions`` a worker exits by itself after serving that many.
     """
-    ctx = _mp_context()
+    ctx = mp_context()
     hosts: List[str] = []
     procs = []
     try:
         for _ in range(count):
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_local_worker_main, args=(child,), daemon=True
-            )
-            proc.start()
-            child.close()
-            procs.append(proc)
-            if not parent.poll(30):
-                raise RuntimeError(
-                    "local shard worker failed to announce its port"
+            with socket.create_server(("127.0.0.1", 0)) as server:
+                proc = ctx.Process(
+                    target=serve_shard_worker, args=(server, sessions),
+                    daemon=True,
                 )
-            hosts.append(f"127.0.0.1:{parent.recv()}")
-            parent.close()
+                proc.start()
+                procs.append(proc)
+                hosts.append("127.0.0.1:%d" % server.getsockname()[1])
     except Exception:
         for proc in procs:
             proc.terminate()
@@ -328,7 +129,8 @@ def worker_cli(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.experiments shard-worker",
         description="Serve shard partitions to socket coordinators "
-        "(trusted links only: frames are pickled objects).",
+        "(length-prefixed JSON frames; nothing received is executed, "
+        "unpickled or used as a path).",
     )
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default 127.0.0.1)")
@@ -336,8 +138,8 @@ def worker_cli(argv: Optional[Sequence[str]] = None) -> int:
                         help=f"bind port (default {DEFAULT_PORT}; 0 picks "
                         "a free port and prints it)")
     parser.add_argument("--cache-dir", default=None,
-                        help="artifact cache root for resolving pgraph "
-                        "refs pre-seeded on this host")
+                        help="this worker's artifact cache: the only place "
+                        "pgraph keys sent by a coordinator are looked up")
     parser.add_argument("--sessions", type=int, default=None,
                         help="exit after serving this many coordinator "
                         "sessions (default: serve forever)")
@@ -347,366 +149,11 @@ def worker_cli(argv: Optional[Sequence[str]] = None) -> int:
 
         configure_cache(args.cache_dir)
 
-    def announce(port: int) -> None:
-        print(f"shard-worker listening on {args.host}:{port}", flush=True)
-
+    server = socket.create_server((args.host, args.port))
+    print(f"shard-worker listening on {args.host}:{server.getsockname()[1]}",
+          flush=True)
     try:
-        serve_shard_worker(args.host, args.port, announce=announce,
-                           max_sessions=args.sessions)
+        serve_shard_worker(server, max_sessions=args.sessions)
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
         pass
     return 0
-
-
-# ----------------------------------------------------------------------
-# Coordinator side
-# ----------------------------------------------------------------------
-def _parse_host(spec) -> Tuple[str, int]:
-    if isinstance(spec, (tuple, list)):
-        host, port = spec
-        return str(host), int(port)
-    text = str(spec)
-    if ":" in text:
-        host, _, port = text.rpartition(":")
-        return host, int(port)
-    return text, DEFAULT_PORT
-
-
-class SocketExecutor(BaseExecutor):
-    """Partitions spread over shard-worker hosts, round-robin.
-
-    ``hosts=None`` auto-spawns loopback workers (one per partition, up
-    to :data:`LOCAL_WORKER_CAP`) and reaps them on close; explicit hosts
-    are ``"host[:port]"`` strings or ``(host, port)`` pairs naming
-    already-running ``shard-worker`` processes.  Partition *i* lives on
-    host ``i % len(hosts)``, and the static exchange schedule derived
-    from the RUM routes keeps host-local traffic off the wire entirely.
-    """
-
-    name = "socket"
-    transport = "socket"
-    connect_timeout = 10.0
-    #: Per-frame receive timeout during normal operation: generous (a
-    #: heavy partition step is slow), but bounded so a wedged worker
-    #: surfaces as a diagnostic error instead of a hang.
-    op_timeout = 600.0
-    close_timeout = 5.0
-    LOCAL_WORKER_CAP = 4
-
-    def __init__(
-        self,
-        partitions: Sequence[Partition],
-        lanes: int,
-        kernel,
-        backend: str,
-        exports: Sequence[Sequence[str]],
-        routes: Sequence[Tuple[str, int, Tuple[int, ...]]] = (),
-        hosts: Optional[Sequence] = None,
-    ) -> None:
-        kernel_arg = kernel.name if isinstance(kernel, KernelConfig) else kernel
-        self._partitions = len(partitions)
-        self._procs = []
-        self._socks: List[Optional[socket.socket]] = []
-        if hosts is None:
-            hosts, self._procs = spawn_local_workers(
-                min(len(partitions), self.LOCAL_WORKER_CAP) or 1
-            )
-        if not hosts:
-            raise ValueError("socket executor needs at least one host")
-        self._addresses = [_parse_host(h) for h in hosts]
-        count = len(self._addresses)
-        #: Global partition index -> host index, and the inverse table.
-        self._host_of = [i % count for i in range(len(partitions))]
-        self._locals: List[List[int]] = [[] for _ in range(count)]
-        local_index: Dict[int, int] = {}
-        for p, h in enumerate(self._host_of):
-            local_index[p] = len(self._locals[h])
-            self._locals[h].append(p)
-
-        # The static exchange schedule: host-local legs of each route
-        # are applied worker-side; rows whose readers are all co-hosted
-        # with the writer never cross the wire.
-        self._self_applied: List[set] = [set() for _ in partitions]
-        local_routes: List[List[Tuple[int, str, Tuple[int, ...]]]] = [
-            [] for _ in range(count)
-        ]
-        remote_needed: List[set] = [set() for _ in partitions]
-        for name, writer, readers in routes:
-            writer_host = self._host_of[writer]
-            co_hosted = tuple(
-                local_index[r] for r in readers
-                if self._host_of[r] == writer_host
-            )
-            if co_hosted:
-                local_routes[writer_host].append(
-                    (local_index[writer], name, co_hosted)
-                )
-                for r in readers:
-                    if self._host_of[r] == writer_host:
-                        self._self_applied[r].add(name)
-            if any(self._host_of[r] != writer_host for r in readers):
-                remote_needed[writer].add(name)
-        if routes:
-            report = [
-                [n for n in names if n in remote_needed[p]]
-                for p, names in enumerate(exports)
-            ]
-        else:
-            # No schedule supplied: every export row goes through the
-            # coordinator (the degenerate but always-correct plan).
-            report = [list(names) for names in exports]
-
-        self._styles: List[str] = [""] * len(partitions)
-        try:
-            for h, address in enumerate(self._addresses):
-                members = self._locals[h]
-                spec = {
-                    "lanes": lanes,
-                    "kernel": kernel_arg,
-                    "backend": backend,
-                    "graphs": [
-                        ProcessExecutor._graph_ref(partitions[p])
-                        for p in members
-                    ],
-                    "exports": [list(exports[p]) for p in members],
-                    "report": [report[p] for p in members],
-                    "routes": local_routes[h],
-                }
-                styles = self._handshake(
-                    h, spec, [partitions[p].graph for p in members]
-                )
-                for p, style in zip(members, styles):
-                    self._styles[p] = style
-        except Exception:
-            self.close()
-            raise
-
-    # ------------------------------------------------------------------
-    def _label(self, h: int) -> str:
-        host, port = self._addresses[h]
-        return f"{host}:{port} (partitions {self._locals[h]})"
-
-    def _connect(self, h: int) -> socket.socket:
-        sock = socket.create_connection(
-            self._addresses[h], timeout=self.connect_timeout
-        )
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(self.op_timeout)
-        return sock
-
-    def _handshake(self, h: int, spec: dict, graphs) -> List[str]:
-        """Connect and set up host ``h``, cache refs first.
-
-        Only the ``pgraph cache entry ... missing`` failure reconnects
-        with inline graphs; any other worker-side error (a genuine
-        compile failure) propagates from the first attempt.
-        """
-        while True:
-            sock = self._connect(h)
-            try:
-                send_frame(sock, ("setup", spec))
-                status, payload = recv_frame(sock)
-            except (ConnectionError, EOFError, OSError) as exc:
-                sock.close()
-                raise RuntimeError(
-                    f"shard worker {self._label(h)} failed during setup "
-                    f"({type(exc).__name__}: {exc})"
-                ) from exc
-            if status == "ok":
-                while len(self._socks) <= h:
-                    self._socks.append(None)
-                self._socks[h] = sock
-                return payload
-            sock.close()
-            can_retry = any(ref[0] == "cache" for ref in spec["graphs"])
-            if can_retry and _is_pgraph_cache_miss(payload):
-                spec = dict(spec)
-                spec["graphs"] = [("graph", g) for g in graphs]
-                continue
-            raise RuntimeError(
-                f"shard worker {self._label(h)} failed:\n{payload}"
-            )
-
-    def _send(self, h: int, frame) -> None:
-        sock = self._socks[h]
-        try:
-            send_frame(sock, frame)
-        except (ConnectionError, BrokenPipeError, OSError) as exc:
-            raise RuntimeError(
-                f"shard worker {self._label(h)} is gone "
-                f"({type(exc).__name__}: {exc}); close() this executor "
-                "and build a fresh one"
-            ) from exc
-
-    def _recv(self, h: int):
-        try:
-            return recv_frame(self._socks[h])
-        except (ConnectionError, EOFError, OSError) as exc:
-            raise RuntimeError(
-                f"shard worker {self._label(h)} died mid-command "
-                f"({type(exc).__name__}: {exc}); close() this executor "
-                "and build a fresh one"
-            ) from exc
-
-    def _recv_ok(self, h: int):
-        frame = self._recv(h)
-        if frame[0] == "ok":
-            return frame[1]
-        if frame[0] == "err":
-            raise RuntimeError(
-                f"shard worker {self._label(h)} failed:\n{frame[1]}"
-            )
-        raise RuntimeError(
-            f"shard worker {self._label(h)}: unexpected frame {frame[0]!r}"
-        )
-
-    def _call(self, h: int, op: str, args=None):
-        self._send(h, (op, args))
-        return self._recv_ok(h)
-
-    def _broadcast(self, op: str, args=None) -> List[object]:
-        for h in range(len(self._addresses)):
-            self._send(h, (op, args))
-        return [self._recv_ok(h) for h in range(len(self._addresses))]
-
-    def _gather(self, op: str, args=None) -> List[object]:
-        """Broadcast an op whose reply is one payload per local
-        partition; reassemble into global partition order."""
-        replies = self._broadcast(op, args)
-        out: List[object] = [None] * self._partitions
-        for h, payload in enumerate(replies):
-            for local_i, p in enumerate(self._locals[h]):
-                out[p] = payload[local_i]
-        return out
-
-    def _scatter(self, op: str, per_partition) -> None:
-        """Send per-partition payloads host-wise and await the acks."""
-        _require_count(self, op, len(per_partition), self._partitions)
-        frames: List[Dict[int, object]] = [
-            {} for _ in range(len(self._addresses))
-        ]
-        for p, payload in enumerate(per_partition):
-            h = self._host_of[p]
-            local_i = self._locals[h].index(p)
-            frames[h][local_i] = payload
-        for h in range(len(self._addresses)):
-            self._send(h, (op, frames[h]))
-        for h in range(len(self._addresses)):
-            self._recv_ok(h)
-
-    # ------------------------------------------------------------------
-    def poke(self, index: int, name: str, value) -> None:
-        h = self._host_of[index]
-        local_i = self._locals[h].index(index)
-        self._call(h, "poke", (local_i, name, value))
-
-    def peek(self, index: int, name: str) -> List[int]:
-        h = self._host_of[index]
-        local_i = self._locals[h].index(index)
-        return self._call(h, "peek", (local_i, name))
-
-    def collect(self) -> List[ExportRows]:
-        return self._gather("collect")
-
-    def step_collect(self, clock: Optional[str] = None) -> List[ExportRows]:
-        for h in range(len(self._addresses)):
-            self._send(h, ("step", clock))
-        exports: List[ExportRows] = [{} for _ in range(self._partitions)]
-        durations = [0.0] * self._partitions
-        for h in range(len(self._addresses)):
-            while True:
-                frame = self._recv(h)
-                tag = frame[0]
-                if tag == "done":
-                    break
-                if tag == "part":
-                    _, local_i, rows, duration = frame
-                    p = self._locals[h][local_i]
-                    exports[p] = rows
-                    durations[p] = duration
-                elif tag == "err":
-                    raise RuntimeError(
-                        f"shard worker {self._label(h)} failed mid-step:\n"
-                        f"{frame[1]}"
-                    )
-                else:
-                    raise RuntimeError(
-                        f"shard worker {self._label(h)}: unexpected frame "
-                        f"{tag!r} during step"
-                    )
-        self._account(durations)
-        return exports
-
-    def apply_sync(self, updates: Sequence[ExportRows]) -> None:
-        _require_count(self, "apply_sync", len(updates), self._partitions)
-        frames: List[Dict[int, ExportRows]] = [
-            {} for _ in range(len(self._addresses))
-        ]
-        for p, rows in enumerate(updates):
-            filtered = {
-                name: row for name, row in rows.items()
-                if name not in self._self_applied[p]
-            }
-            if filtered:
-                h = self._host_of[p]
-                frames[h][self._locals[h].index(p)] = filtered
-        pending = [h for h, frame in enumerate(frames) if frame]
-        for h in pending:
-            self._send(h, ("sync", frames[h]))
-        for h in pending:
-            self._recv_ok(h)
-
-    def reset(self) -> None:
-        self._broadcast("reset")
-
-    def snapshot(self) -> List[object]:
-        return self._gather("snapshot")
-
-    def restore(self, states: Sequence[object]) -> None:
-        self._scatter("restore", list(states))
-
-    def export_lane(self, lane: int) -> List[List[int]]:
-        return self._gather("export_lane", lane)
-
-    def import_lane(self, lane: int, states: Sequence[Sequence[int]]) -> None:
-        _require_count(self, "import_lane", len(states), self._partitions)
-        frames: List[Dict[int, object]] = [
-            {} for _ in range(len(self._addresses))
-        ]
-        for p, state in enumerate(states):
-            h = self._host_of[p]
-            frames[h][self._locals[h].index(p)] = state
-        for h in range(len(self._addresses)):
-            self._send(h, ("import_lane", (lane, frames[h])))
-        for h in range(len(self._addresses)):
-            self._recv_ok(h)
-
-    def activity_stats(self) -> List[object]:
-        return self._gather("activity_stats")
-
-    def describe(self) -> List[str]:
-        return list(self._styles)
-
-    def close(self) -> None:
-        for sock in self._socks:
-            if sock is None:
-                continue
-            try:
-                sock.settimeout(self.close_timeout)
-                send_frame(sock, ("close", None))
-                recv_frame(sock)
-            except (ConnectionError, EOFError, OSError, ValueError):
-                pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-        self._socks = []
-        for proc in self._procs:
-            proc.join(timeout=self.close_timeout)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1)
-            if proc.is_alive():  # pragma: no cover - unkillable worker
-                proc.kill()
-        self._procs = []

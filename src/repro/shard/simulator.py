@@ -31,7 +31,8 @@ from ..repcut.partition import (
     partition_graph,
 )
 from ..repcut.rum import RegisterUpdateMap, build_rum
-from .executors import BaseExecutor, ExportRows, make_executor
+from .executors import ChannelExecutor
+from .planes import ExportRows
 
 LaneValues = Union[int, Sequence[int]]
 
@@ -40,9 +41,9 @@ LaneValues = Union[int, Sequence[int]]
 class ShardSnapshot:
     """A checkpoint of all P partitions plus the exchange history.
 
-    Partition states are executor-native (cheap in-process snapshots for
-    serial/thread, portable exported planes for process workers), so a
-    snapshot restores only onto a simulator using the same executor.
+    Partition states are portable ``[slot rows, cycle]`` int planes; a
+    snapshot restores onto a simulator of the same executor, cut and
+    lane count.
     """
 
     partition_states: List[object]
@@ -109,10 +110,9 @@ class ShardedBatchSimulator:
         plain ints), so mixed-backend partitions compose freely.
     executor:
         ``"serial"`` (deterministic reference), ``"thread"``,
-        ``"process"`` (one worker process per partition; pickled lane
-        buffers, or shared-memory lane planes when eligible), or
-        ``"socket"`` (partitions on ``shard-worker`` hosts over TCP);
-        see :mod:`repro.shard.executors` / :mod:`repro.shard.remote`.
+        ``"process"`` (one worker process per partition) or ``"socket"``
+        (partitions on ``shard-worker`` hosts over TCP); see
+        :mod:`repro.shard.executors`.
     hosts:
         Socket executor only: ``"host[:port]"`` strings (or
         ``(host, port)`` pairs) of running ``shard-worker`` endpoints,
@@ -122,7 +122,7 @@ class ShardedBatchSimulator:
         Process executor only: ``None`` (default) uses shared-memory
         lane planes whenever every partition fits the u64 plane,
         ``True`` requires them (raising when ineligible), ``False``
-        forces the pickled-pipe exchange.  The live choice is reported
+        forces the JSON-over-pipe exchange.  The live choice is reported
         by :attr:`transport`.
     """
 
@@ -162,16 +162,11 @@ class ShardedBatchSimulator:
         else:
             self.rum = build_rum(self.result)
         self._routes = self.rum.routes()
-        exports_map = self.rum.exports_of()
         # Empty partitions were pruned, so worker count follows the
         # *effective* partition list, not the requested P.
-        self._exports = [
-            exports_map[i] for i in range(len(self.result.partitions))
-        ]
-        self.executor: BaseExecutor = make_executor(
+        self.executor = ChannelExecutor(
             executor, self.result.partitions, lanes, kernel, backend,
-            self._exports, routes=self._routes, hosts=hosts,
-            shm_planes=shm_planes,
+            routes=self._routes, hosts=hosts, shm_planes=shm_planes,
         )
         self._closed = False
 
@@ -208,7 +203,14 @@ class ShardedBatchSimulator:
         self._last_synced: Dict[str, Tuple[int, ...]] = {}
         self.sync_sent = 0
         self.sync_suppressed = 0
-        # Replica inputs start at zero; registers may not.  Prime them.
+        self._prime()
+
+    def _prime(self) -> None:
+        """Refresh every replica unconditionally.  Partitions step
+        *before* a cycle's exchange, so when register state appears
+        without one (construction, reset, an imported lane) the
+        differential history is dropped and all rows are exchanged now."""
+        self._last_synced.clear()
         self._exchange(self.executor.collect())
 
     # ------------------------------------------------------------------
@@ -293,8 +295,7 @@ class ShardedBatchSimulator:
         """Reset every partition (poked inputs survive, as the scalar
         simulators) and refresh all replicas unconditionally."""
         self.executor.reset()
-        self._last_synced.clear()
-        self._exchange(self.executor.collect())
+        self._prime()
         self.cycle = 0
 
     # ------------------------------------------------------------------
@@ -329,11 +330,6 @@ class ShardedBatchSimulator:
             raise ValueError(
                 f"snapshot has {snapshot.lanes} lanes, simulator has "
                 f"{self.lanes}"
-            )
-        if len(snapshot.partition_states) != self.num_partitions:
-            raise ValueError(
-                f"snapshot has {len(snapshot.partition_states)} partitions, "
-                f"simulator has {self.num_partitions}"
             )
         if snapshot.cut and snapshot.cut != self._cut():
             raise ValueError(
@@ -385,20 +381,10 @@ class ShardedBatchSimulator:
                 "(the register->partition cut differs); re-export from a "
                 "simulator with the same cut"
             )
-        if len(state.partition_values) != self.num_partitions:
-            raise ValueError(
-                f"lane state has {len(state.partition_values)} partitions, "
-                f"simulator has {self.num_partitions}"
-            )
         self.executor.import_lane(lane, state.partition_values)
         for name, value in state.poked.items():
             self.poke_lane(name, lane, value)
-        # Partitions step *before* the cycle's exchange, so replicas of
-        # the imported lane's registers must be refreshed now, not at the
-        # next exchange.  Drop the differential history and re-prime, as
-        # the constructor and reset() do.
-        self._last_synced.clear()
-        self._exchange(self.executor.collect())
+        self._prime()
 
     # ------------------------------------------------------------------
     # The batched RUM exchange
@@ -472,7 +458,7 @@ class ShardedBatchSimulator:
     def transport(self) -> str:
         """How lane rows move during the exchange: ``"local"``,
         ``"pipe"``, ``"shm"``, or ``"socket"``."""
-        return getattr(self.executor, "transport", "local")
+        return self.executor.transport
 
     @property
     def replication_overhead(self) -> float:

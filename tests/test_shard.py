@@ -6,7 +6,7 @@ import pytest
 
 from repro.batch import BatchSimulator
 from repro.designs.registry import compile_named_design, compiled_graph
-from repro.shard import EXECUTORS, ShardedBatchSimulator, make_executor
+from repro.shard import EXECUTORS, ChannelExecutor, ShardedBatchSimulator
 from repro.sim import Simulator
 from repro.workloads.stimulus import batched_workload_for
 
@@ -402,7 +402,7 @@ class TestSnapshotRestore:
 class TestExecutorFactory:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
-            make_executor("quantum", [], 1, "PSU", "auto", [])
+            ChannelExecutor("quantum", [], 1, "PSU", "auto", [])
 
     def test_worker_error_surfaces(self):
         # An explicit u64 request on a >64-bit design must raise from the
