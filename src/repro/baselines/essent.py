@@ -19,9 +19,9 @@ from typing import Dict, List, Tuple
 from ..firrtl.primops import mask
 from ..kernels.codegen_cpp import CppSource
 from ..kernels.config import get_kernel_config
-from ..kernels.expr import cpp_expr
 from ..kernels.profile import KernelProfile
 from ..kernels.pykernels import SUKernel
+from ..lower.cbackend import c_expr
 from ..oim.builder import OimBundle
 from ..sim.simulator import DesignLike, compile_design
 
@@ -103,7 +103,7 @@ def essent_cpp(bundle: OimBundle) -> CppSource:
                 for r in record.operands
             ]
             widths = [bundle.slot_width[r] for r in record.operands]
-            expression = cpp_expr(
+            expression = c_expr(
                 entry.name, args, widths, bundle.slot_width[record.s]
             )
             lines.append(f"  sig[{record.s}] = {expression};")

@@ -20,8 +20,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..firrtl.primops import mask
 from ..kernels.codegen_cpp import CppSource
-from ..kernels.expr import python_expr, cpp_expr
+from ..kernels.expr import python_expr
 from ..kernels.profile import KernelProfile
+from ..lower.cbackend import c_expr
 from ..oim.builder import OimBundle, OpRecord
 from ..sim.simulator import DesignLike, compile_design
 
@@ -65,7 +66,7 @@ def _branchy_statement(bundle: OimBundle, record: OpRecord,
     ]
     widths = [bundle.slot_width[r] for r in record.operands]
     target = f"V[{record.s}]"
-    render = python_expr if lang == "py" else cpp_expr
+    render = python_expr if lang == "py" else c_expr
     indent = "    " if lang == "py" else "  "
 
     if entry.name == "mux":

@@ -12,7 +12,7 @@ rank ``B``.  Four backends realise the plane:
   stores ``ceil(width/64)`` little-endian uint64 *limb rows* in a flat
   ``(total_limb_rows, B)`` plane (see :class:`LimbLayout`).  Arithmetic
   carries propagate across limbs and shifts/cat/bits cross limb
-  boundaries (:func:`repro.batch.vecsem.make_limb_table`), so a single
+  boundaries (:func:`repro.batch.vecsem.limb_target`), so a single
   65-bit slot no longer degrades the whole design to object rows;
 * ``object`` -- a NumPy ``object`` array of Python ints; still vectorised
   at the ufunc level, bit-exact at any width but an order of magnitude
@@ -26,9 +26,11 @@ NumPy is an *optional* dependency (the ``[batch]`` extra): everything in
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from ..graph.opsem import NATIVE, RELATIONS, Target
 from ..oim.builder import OimBundle
 
 #: Widest slot the single-row uint64 backend can hold exactly; also the
@@ -246,7 +248,7 @@ def write_slot(
 
 
 # ----------------------------------------------------------------------
-# Guarded vector helpers (shared by the walk and codegen kernels)
+# The NumPy single-row target (shared by the walk and codegen kernels)
 # ----------------------------------------------------------------------
 def popcount_parity(np, object_mode: bool = False):
     """A bit-exact lane-wise popcount-parity function (``xorr``).
@@ -273,51 +275,94 @@ def popcount_parity(np, object_mode: bool = False):
     return _pop
 
 
-def make_helpers(np, object_mode: bool = False) -> Dict[str, object]:
-    """Vector helpers injected into generated code / the walk semantics.
+def numpy_target(np, object_mode: bool = False) -> Target:
+    """The single-row NumPy target of the op table (:mod:`repro.graph.opsem`).
 
-    All are valid for both the uint64 and object backends: shift amounts
-    are clipped below the width guard before the hardware-UB region is
-    reachable, and division sanitises the divisor before dividing.
+    Values are ``uint64`` lane vectors -- or, in ``object_mode``, object
+    arrays of Python ints, bit-exact at any width.  Every primitive is
+    branch-free in its width arguments, so the same functions evaluate
+    one ``(B,)`` row with Python-int widths and a layer-blocked ``(k, B)``
+    group with ``(k, 1)`` width columns.  The guards live here
+    and nowhere else: division sanitises the divisor before dividing, and
+    a shift amount is clipped before the hardware-undefined region
+    (``>= 64``) is reachable.  (``cat`` needs no guard: it shifts by a
+    whole word only when its lhs is zero-width, hence zero.)
     """
+    if object_mode:
+        dtype = object
 
-    def _div(a, b):
-        nonzero = b != 0
-        return np.where(nonzero, a // np.where(nonzero, b, 1), 0)
+        def clip(s, in_width):
+            return np.where(in_width, s, 0)  # never build a 2**s-bit int
 
-    def _rem(a, b):
-        nonzero = b != 0
-        return np.where(nonzero, a % np.where(nonzero, b, 1), 0)
+        def mask_of(width):
+            return (1 << width) - 1
 
-    def _dshl(a, s, out_width):
-        # mask(a << s, ow): any shift >= ow zeroes the masked result.
-        if out_width <= 0:
-            return a & 0
-        clipped = np.minimum(s, out_width - 1)
-        return np.where(s < out_width, a << clipped, 0)
+        # bool ndarray -> object ndarray of Python ints (0/1), so that
+        # downstream unbounded arithmetic never sees numpy scalars.
+        compare = {
+            rel: (lambda x, y, holds=holds: holds(x, y).astype(object) * 1)
+            for rel, holds in RELATIONS.items()
+        }
+    else:
+        dtype = np.uint64
 
-    def _dshr(a, s, in_width):
-        # a >> s with a < 2**in_width: any shift >= in_width yields zero.
-        if in_width <= 0:
-            return a & 0
-        clipped = np.minimum(s, in_width - 1)
-        return np.where(s < in_width, a >> clipped, 0)
+        def clip(s, in_width):
+            return np.minimum(s, 63)  # in-width lanes shift by < 64 anyway
 
-    def _head(a, n, in_width):
-        # mask(a >> max(in_width - n, 0), ow) with per-lane n.
-        if in_width <= 0:
-            return a & 0
-        shift = in_width - np.minimum(n, in_width)
-        clipped = np.minimum(shift, in_width - 1)
-        return np.where(shift < in_width, a >> clipped, 0)
+        # Indexable by a Python int and by a (k, 1) width column alike.
+        mask_of = np.array(
+            [(1 << width) - 1 for width in range(U64_MAX_WIDTH + 1)], dtype=dtype
+        ).__getitem__
+        compare = RELATIONS  # storage rows cast bool -> uint64
 
+    def guarded(divide):
+        def primitive(x, y, *_widths):
+            # Generated code inlines a constant divisor as a Python int,
+            # which would otherwise drag the quotient to float64.
+            y = np.asarray(y, dtype)
+            nonzero = y != 0
+            return np.where(nonzero, divide(x, np.where(nonzero, y, 1)), 0)
+
+        return primitive
+
+    def shl(x, s, ow):
+        in_width = s < ow
+        return np.where(in_width, x << clip(s, in_width), 0)
+
+    def shr(x, s, w, *_ow):
+        in_width = s < w
+        return np.where(in_width, x >> clip(s, in_width), 0)
+
+    def head(x, n, w, *_ow):
+        return shr(x, w - np.minimum(n, w), w)
+
+    not_equal, equal = compare["!="], compare["=="]
+    return Target(
+        **NATIVE,
+        div=guarded(operator.floordiv),
+        rem=guarded(operator.mod),
+        compare=compare,
+        shl=shl,
+        shr=shr,
+        head=head,
+        select=np.where,
+        truth=lambda x: not_equal(x, 0),
+        all_ones=lambda x, w: equal(x, mask_of(w)),
+        parity=popcount_parity(np, object_mode),
+        fit=lambda x, ow: x & mask_of(ow),
+    )
+
+
+def codegen_namespace(target: Target) -> Dict[str, object]:
+    """The globals of generated NumPy code: the helper names the NumPy
+    dialect (:class:`repro.graph.opsem.Dialect`) spells, bound to the
+    primitives of a :func:`numpy_target`."""
     return {
-        "_np": np,
-        "_where": np.where,
-        "_div": _div,
-        "_rem": _rem,
-        "_dshl": _dshl,
-        "_dshr": _dshr,
-        "_head": _head,
-        "_pop": popcount_parity(np, object_mode),
+        "_where": target.select,
+        "_div": target.div,
+        "_rem": target.rem,
+        "_dshl": target.shl,
+        "_dshr": target.shr,
+        "_head": target.head,
+        "_pop": target.parity,
     }

@@ -7,12 +7,14 @@ the scalar spectrum of Section 5.2 with the lane rank vectorised away:
   It traverses the *optimized*-format OIM arrays (Figure 12b) exactly as
   the scalar ``RUKernel`` does, but every operand fetch pulls a lane
   vector and every compute operator applies across all B lanes at once
-  (:mod:`repro.batch.vecsem`).  Serves the uint64 fast path, the
-  split-limb ``u64xN`` fast path, and the arbitrary-width object path.
-  On ``u64xN`` the schedule is *mixed*: operations whose operand and
-  result widths all fit 64 bits run the plain single-row evaluators over
-  their (single) limb rows, and only genuinely wide operations take the
-  carry-propagating limb evaluators -- so a design with a handful of
+  (the op table bound to a NumPy target, :mod:`repro.batch.vecsem`).
+  Serves the uint64 fast path, the split-limb ``u64xN`` fast path, and
+  the arbitrary-width object path.  On ``u64xN`` the schedule is
+  *mixed*: operations whose operand and result widths all fit 64 bits
+  run the single-row evaluators over their (single) limb rows -- same-op
+  records of a layer gathered into one ``(k, B)`` call of the very same
+  evaluator -- and only genuinely wide operations take the
+  carry-propagating limb evaluators, so a design with a handful of
   65-bit slots pays limb arithmetic for exactly those slots.
 * :class:`BatchCodegenKernel` -- a straight-line SU/TI-style variant:
   the OIM is fully embedded in generated Python whose expressions are
@@ -31,6 +33,10 @@ pass for the compiled C translation unit of
 :class:`~repro.lower.program.OimProgram` as every kernel above --
 falling back to the SU codegen kernel when no toolchain (or no native
 uint64 plane) is available.
+
+No kernel here knows what an op means: every evaluator and every
+generated expression is the one op table (:mod:`repro.graph.opsem`)
+bound to this backend's target or spelled in its dialect.
 """
 
 from __future__ import annotations
@@ -39,27 +45,20 @@ import hashlib
 from typing import Callable, Dict, List, Optional
 
 from ..kernels.config import KernelConfig, get_kernel_config
-from ..kernels.expr import LIMB_OP_BASES, numpy_expr, numpy_limb_expr
-from ..kernels.fiberwalk import (
-    PendingLayers,
-    cached_fiber_walk,
-    cached_walk_layer_rows,
-    walk_layer_rows,
-)
+from ..kernels.expr import numpy_expr, numpy_limb_expr
+from ..kernels.fiberwalk import PendingLayers, cached_fiber_walk, cached_walk_layer_rows
 from ..kernels.pykernels import CODEGEN_CHUNK
 from ..lower.cbackend import CBackendUnavailable, compiled_comb
-from ..lower.plan import blockable as _blockable
 from ..lower.plan import is_narrow as _is_narrow
 from ..lower.plan import limb_plan
-from ..lower.program import cached_program, lower_program
+from ..lower.program import cached_program
 from ..oim.builder import OimBundle
 from .backend import (
-    U64_MAX_WIDTH,
+    codegen_namespace,
     limb_layout,
-    make_helpers,
     numpy_or_none,
+    numpy_target,
     pick_backend,
-    popcount_parity,
 )
 from .vecsem import make_limb_table, make_vec_table
 
@@ -96,209 +95,71 @@ class BatchKernel:
         return f"{self.config.name}x{self.lanes}[{self.backend}]"
 
 
-# The walk-row builders now live in :mod:`repro.kernels.fiberwalk`,
-# shared with the scalar activity kernel; the old private names stay
-# bound for callers and tests that reached in.
-_walk_layer_rows = walk_layer_rows
-_cached_walk_layer_rows = cached_walk_layer_rows
+def _record_binder(bundle: OimBundle, backend: str, layout=None) -> Callable:
+    """How a walk row ``(n, s, operands, widths, ow)`` becomes the record
+    ``(fn, out address, operand addresses, widths, ow)`` on one backend's
+    plane.
 
-
-def _walk_layers(bundle: OimBundle):
-    """The walk rows with opcode indices rebound to live op-table
-    entries: per-layer ``(entry, s, rs, ws, ow)`` record lists."""
+    The single-row planes address slots.  On ``u64xN`` (``layout`` is
+    that plane's :func:`limb_layout`) a narrow row runs the ``u64``
+    evaluators over limb-row offsets and a wide row the limb evaluators
+    over limb-row slices.
+    """
     entry_of = bundle.op_table.entry
-    return [
-        [(entry_of(n), s, operands, widths, out_width)
-         for n, s, operands, widths, out_width in layer]
-        for layer in cached_walk_layer_rows(bundle)
-    ]
+    if backend == "python":
+        return lambda n, s, rs, ws, ow: (entry_of(n).semantics, s, rs, ws, ow)
+    np = numpy_or_none()
+    if backend != "u64xN":
+        table = make_vec_table(np, "object" if backend == "object" else "u64")
+        return lambda n, s, rs, ws, ow: (table[entry_of(n).name], s, rs, ws, ow)
+    narrow, wide = make_vec_table(np, "u64"), make_limb_table(np)
+
+    def bind(n, s, rs, ws, ow):
+        table, where = (
+            (narrow, layout.offsets) if _is_narrow(ws, ow) else (wide, layout.slices)
+        )
+        return table[entry_of(n).name], where[s], tuple(where[r] for r in rs), ws, ow
+
+    return bind
 
 
-def _walk_records(bundle: OimBundle):
-    """The flattened walk (see :func:`_walk_layers`)."""
-    return [record for layer in _walk_layers(bundle) for record in layer]
-
-
-def _walk_schedule(bundle: OimBundle, semantics_of: Callable):
-    """The slot-indexed walk schedule (one plane row per slot)."""
-    return [
-        (semantics_of(entry), s, operands, widths, out_width)
-        for entry, s, operands, widths, out_width in _walk_records(bundle)
-    ]
+def _walk_schedule(bundle: OimBundle, backend: str):
+    """The flattened walk: ``(fn, s, operands, widths, ow)`` per record."""
+    bind = _record_binder(bundle, backend)
+    return [bind(*row) for layer in cached_walk_layer_rows(bundle) for row in layer]
 
 
 # ----------------------------------------------------------------------
 # Layer-blocked narrow groups (the u64xN walk)
 # ----------------------------------------------------------------------
-#: Narrow base ops with a blocked builder in :func:`_blocked_step` -- the
-#: same vocabulary as the split-limb evaluators (one canonical set, so
-#: the three layers cannot drift apart).  ``mul`` stays per-record only
-#: when wide; ``div``/``rem`` block via the guarded helpers exactly like
-#: the per-record table.  The classification predicates themselves
-#: (``is_narrow``/``blockable``) live in :mod:`repro.lower.plan` now,
-#: shared with every other executor; the old private names stay bound.
-_BLOCKABLE_BASES = LIMB_OP_BASES
-
-
-def _blocked_step(np, name: str, group: List, layout, pop) -> Callable:
-    """One evaluator for ``k`` same-op narrow records of one layer.
+def _blocked_step(np, fn: Callable, group: List, offsets) -> Callable:
+    """One evaluation of ``fn`` for ``k`` same-op narrow records of one
+    layer (``offsets`` maps slots to plane rows, as an index array).
 
     Layers are dependence levels (operands always live in earlier
     layers), so same-layer records are independent: gather their operand
-    rows into ``(k, B)`` blocks, apply the op once with per-record widths
-    broadcast as ``(k, 1)`` columns, and scatter to the output rows.
-    This turns the walk's per-record NumPy dispatch into per-(layer, op)
-    dispatch -- the S rank vectorised alongside the lane rank.
+    rows into ``(k, B)`` blocks, apply the op's single-row evaluator once
+    with the per-record widths broadcast as ``(k, 1)`` columns, and
+    scatter to the output rows.  This turns the walk's per-record NumPy
+    dispatch into per-(layer, op) dispatch -- the S rank vectorised
+    alongside the lane rank.
     """
-    base = name.rstrip("0123456789")
-    ZERO, ONE = np.uint64(0), np.uint64(1)
-    out = np.array([layout.offsets[s] for _, s, *_ in group], dtype=np.intp)
+    _, outs, operands, widths, out_widths = zip(*group)
 
-    def rows(position: int):
-        return np.array(
-            [layout.offsets[operands[position]] for _, _, operands, _, _ in group],
-            dtype=np.intp,
-        )
+    def column(values):
+        return np.array(values, dtype=np.uint64)[:, None]
 
-    def col(values) -> object:
-        return np.array(list(values), dtype=np.uint64).reshape(-1, 1)
+    # Per operand position: k plane rows, and a (k, 1) width column.
+    out = offsets[list(outs)]
+    sources = [offsets[list(position)] for position in zip(*operands)]
+    widths = [column(position) for position in zip(*widths)]
+    # A ready-made index: the mask lookup in ``fit`` then needs no cast.
+    out_width = np.array(out_widths, dtype=np.intp)[:, None]
 
-    ow_col = col(ow for *_, ow in group)
-    mask_col = col((1 << ow) - 1 for *_, ow in group)
-    w0_col = col(widths[0] if widths else 0 for *_, widths, _ in group)
-
-    s0 = rows(0)
-    if base in ("and", "or", "xor"):
-        s1 = rows(1)
-        fn = {"and": np.bitwise_and, "or": np.bitwise_or, "xor": np.bitwise_xor}[base]
-
-        def step(V):
-            V[out] = fn(V[s0], V[s1])
-    elif base in ("add", "sub", "mul"):
-        s1 = rows(1)
-        fn = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[base]
-
-        def step(V):
-            V[out] = fn(V[s0], V[s1]) & mask_col
-    elif base in ("div", "rem"):
-        s1 = rows(1)
-        fn = np.floor_divide if base == "div" else np.remainder
-
-        def step(V):
-            b = V[s1]
-            nonzero = b != ZERO
-            V[out] = np.where(nonzero, fn(V[s0], np.where(nonzero, b, ONE)), ZERO) & mask_col
-    elif base in ("lt", "leq", "gt", "geq", "eq", "neq"):
-        s1 = rows(1)
-        fn = {
-            "lt": np.less, "leq": np.less_equal, "gt": np.greater,
-            "geq": np.greater_equal, "eq": np.equal, "neq": np.not_equal,
-        }[base]
-
-        def step(V):
-            V[out] = fn(V[s0], V[s1])
-    elif base == "cat":
-        s1 = rows(1)
-        w1_col = col(widths[1] for *_, widths, _ in group)
-
-        def step(V):
-            V[out] = ((V[s0] << w1_col) | V[s1]) & mask_col
-    elif base in ("dshl", "shl"):
-        s1 = rows(1)
-
-        def step(V):
-            shift = V[s1]
-            clipped = np.minimum(shift, ow_col - ONE)
-            V[out] = np.where(shift < ow_col, V[s0] << clipped, ZERO) & mask_col
-    elif base in ("dshr", "shr", "bits"):
-        # bits(value, hi, lo) reads its shift from the lo operand (index 2).
-        s1 = rows(2 if base == "bits" else 1)
-
-        def step(V):
-            shift = V[s1]
-            clipped = np.minimum(shift, w0_col - ONE)
-            V[out] = np.where(shift < w0_col, V[s0] >> clipped, ZERO) & mask_col
-    elif base == "head":
-        s1 = rows(1)
-
-        def step(V):
-            shift = w0_col - np.minimum(V[s1], w0_col)
-            clipped = np.minimum(shift, w0_col - ONE)
-            V[out] = np.where(shift < w0_col, V[s0] >> clipped, ZERO) & mask_col
-    elif base in ("pad", "tail", "cvt", "asUInt", "asSInt", "ident"):
-        def step(V):
-            V[out] = V[s0] & mask_col
-    elif base == "not":
-        def step(V):
-            V[out] = ~V[s0] & mask_col
-    elif base == "neg":
-        def step(V):
-            V[out] = (ZERO - V[s0]) & mask_col
-    elif base == "andr":
-        full_col = col((1 << widths[0]) - 1 for *_, widths, _ in group)
-
-        def step(V):
-            V[out] = V[s0] == full_col
-    elif base == "orr":
-        def step(V):
-            V[out] = V[s0] != ZERO
-    elif base == "xorr":
-        def step(V):
-            V[out] = pop(V[s0])
-    elif base == "mux":
-        s1, s2 = rows(1), rows(2)
-
-        def step(V):
-            V[out] = np.where(V[s0] != ZERO, V[s1], V[s2])
-    elif base == "muxchain":
-        arity = len(group[0][2])
-        selectors = [rows(p) for p in range(0, arity - 1, 2)]
-        values = [rows(p) for p in range(1, arity - 1, 2)]
-        default = rows(arity - 1)
-
-        def step(V):
-            result = V[default]
-            for sel, val in zip(reversed(selectors), reversed(values)):
-                result = np.where(V[sel] != ZERO, V[val], result)
-            V[out] = result
-    else:  # or/and/xorchain
-        fn = {
-            "orchain": np.bitwise_or,
-            "andchain": np.bitwise_and,
-            "xorchain": np.bitwise_xor,
-        }[base]
-        sources = [rows(p) for p in range(len(group[0][2]))]
-
-        def step(V):
-            result = V[sources[0]]
-            for src in sources[1:]:
-                result = fn(result, V[src])
-            V[out] = result
-
-    return step
-
-
-def _record_step(fn: Callable, s, operands, widths, out_width) -> Callable:
-    """One per-record evaluator (wide ops, non-blockable narrow ops)."""
     def step(V):
-        V[s] = fn([V[r] for r in operands], widths, out_width)
+        V[out] = fn([V[source] for source in sources], widths, out_width)
 
     return step
-
-
-def _limb_plan(bundle: OimBundle):
-    """The ``u64xN`` schedule (:func:`repro.lower.plan.limb_plan`) for a
-    bundle's program.  Lane count and the limb layout never enter the
-    derivation: the plan addresses slots, and the layout is a pure
-    function of the bundle."""
-    return limb_plan(lower_program(bundle))
-
-
-def _cached_limb_plan(bundle: OimBundle):
-    """:func:`_limb_plan` over the cached shared program: the lowering
-    sweep persists as the ``program`` artifact, and the (cheap) grouping
-    sweep re-derives from it per process."""
-    return limb_plan(cached_program(bundle))
 
 
 class BatchWalkKernel(BatchKernel):
@@ -310,60 +171,44 @@ class BatchWalkKernel(BatchKernel):
         self, bundle: OimBundle, config: KernelConfig, lanes: int, backend: str
     ) -> None:
         super().__init__(bundle, config, lanes, backend)
-        np = numpy_or_none()
         if backend == "u64xN":
-            self._steps = self._limb_steps(bundle, np)
             self._schedule = None
+            self._steps = self._limb_steps(bundle)
         else:
-            mode = "object" if backend == "object" else "u64"
-            table = make_vec_table(np, mode)
-            self._schedule = _walk_schedule(bundle, lambda entry: table[entry.name])
+            self._schedule = _walk_schedule(bundle, backend)
             self._steps = None
 
     @staticmethod
-    def _limb_steps(bundle: OimBundle, np) -> List[Callable]:
+    def _limb_steps(bundle: OimBundle) -> List[Callable]:
         """The mixed split-limb schedule over the flat limb-row plane.
 
-        Three record classes per layer, in execution order:
-
-        * blockable narrow records group per (layer, op) into one gathered
-          ``(k, B)`` evaluation (:func:`_blocked_step`);
-        * remaining narrow records keep the single-row ``u64`` evaluators
-          over integer row coordinates;
-        * wide records take the carry-propagating limb evaluators over
-          limb-row slices.
-
-        Reordering within a layer is safe -- layers are dependence levels.
-        The schedule is rebuilt from the cached declarative plan
-        (:func:`_cached_limb_plan`); only the closures are per-process.
+        Per layer, in execution order: narrow records group per (layer,
+        op) into one gathered ``(k, B)`` evaluation
+        (:func:`_blocked_step`); the rest run one by one
+        (:func:`_record_binder`).  Reordering within a layer is safe --
+        layers are dependence levels.  The schedule is rebuilt from the
+        declarative plan (:func:`repro.lower.plan.limb_plan`) over the
+        cached shared program: the lowering sweep persists as the
+        ``program`` artifact, the cheap grouping sweep re-derives from it,
+        and only the closures are per-process.
         """
+        np = numpy_or_none()
         layout = limb_layout(bundle)
-        narrow_table = make_vec_table(np, "u64")
-        limb_table = make_limb_table(np)
-        pop = popcount_parity(np)
-        entry_of = bundle.op_table.entry
+        offsets = np.array(layout.offsets, dtype=np.intp)
+        bind = _record_binder(bundle, "u64xN", layout)
+
+        def record_step(fn, s, operands, widths, out_width):
+            def step(V):
+                V[s] = fn([V[r] for r in operands], widths, out_width)
+
+            return step
+
         steps: List[Callable] = []
-        for kind, name, rows in _cached_limb_plan(bundle):
+        for kind, _name, rows in limb_plan(cached_program(bundle)):
             if kind == "block":
-                steps.append(_blocked_step(np, name, rows, layout, pop))
-                continue
-            n, s, operands, widths, out_width = rows[0]
-            if kind == "narrow":
-                steps.append(_record_step(
-                    narrow_table[entry_of(n).name],
-                    layout.offsets[s],
-                    tuple(layout.offsets[r] for r in operands),
-                    widths,
-                    out_width,
-                ))
+                steps.append(_blocked_step(np, bind(*rows[0])[0], rows, offsets))
             else:
-                steps.append(_record_step(
-                    limb_table[entry_of(n).name],
-                    layout.slices[s],
-                    tuple(layout.slices[r] for r in operands),
-                    widths,
-                    out_width,
-                ))
+                steps.append(record_step(*bind(*rows[0])))
         return steps
 
     def eval_comb(self, values) -> None:
@@ -384,7 +229,7 @@ class BatchPyKernel(BatchKernel):
         self, bundle: OimBundle, config: KernelConfig, lanes: int, backend: str
     ) -> None:
         super().__init__(bundle, config, lanes, backend)
-        self._schedule = _walk_schedule(bundle, lambda entry: entry.semantics)
+        self._schedule = _walk_schedule(bundle, backend)
 
     def eval_comb(self, values) -> None:
         lanes = range(self.lanes)
@@ -431,7 +276,14 @@ class BatchActivityKernel(BatchKernel):
         self._inner = inner_cls(bundle, config, lanes, backend)
         self._np = None if backend == "python" else numpy_or_none()
         self.layout = limb_layout(bundle) if backend == "u64xN" else None
-        self._record_fns = self._build_record_fns(bundle)
+        #: Per-layer ``(fn, s_addr, operand_addrs, widths, ow, slot)``
+        #: evaluators; ``slot`` is the schedule-space coordinate used for
+        #: consumer marking.
+        bind = _record_binder(bundle, backend, self.layout)
+        self._record_fns = [
+            [(*bind(*row), row[1]) for row in layer]
+            for layer in self.schedule.layers
+        ]
         self._leaf_rows, self._leaf_row_slot = self._leaf_addressing()
         #: Leaf block from the last pass (None = cold: full walk next).
         self._last = None
@@ -451,52 +303,6 @@ class BatchActivityKernel(BatchKernel):
         self.stats = ActivityStats()
 
     # ------------------------------------------------------------------
-    def _build_record_fns(self, bundle: OimBundle):
-        """Per-layer ``(fn, s_addr, operand_addrs, widths, ow, slot)``
-        evaluators; addresses are plane rows (slots, limb offsets, or
-        limb slices depending on backend), ``slot`` the schedule-space
-        coordinate used for consumer marking."""
-        entry_of = bundle.op_table.entry
-        layers = self.schedule.layers
-        if self.backend == "python":
-            return [
-                [(entry_of(n).semantics, s, operands, widths, ow, s)
-                 for n, s, operands, widths, ow in layer]
-                for layer in layers
-            ]
-        np = self._np
-        if self.backend == "u64xN":
-            narrow = make_vec_table(np, "u64")
-            wide = make_limb_table(np)
-            layout = self.layout
-            built = []
-            for layer in layers:
-                rows = []
-                for n, s, operands, widths, ow in layer:
-                    name = entry_of(n).name
-                    if _is_narrow(widths, ow):
-                        rows.append((
-                            narrow[name], layout.offsets[s],
-                            tuple(layout.offsets[r] for r in operands),
-                            widths, ow, s,
-                        ))
-                    else:
-                        rows.append((
-                            wide[name], layout.slices[s],
-                            tuple(layout.slices[r] for r in operands),
-                            widths, ow, s,
-                        ))
-                built.append(rows)
-            return built
-        table = make_vec_table(
-            np, "object" if self.backend == "object" else "u64"
-        )
-        return [
-            [(table[entry_of(n).name], s, operands, widths, ow, s)
-             for n, s, operands, widths, ow in layer]
-            for layer in layers
-        ]
-
     def _leaf_addressing(self):
         """Plane rows holding the leaves, plus each row's source slot
         (on ``u64xN`` a wide leaf spans several limb rows)."""
@@ -731,8 +537,7 @@ def _compile_batch_chunks(
     """Chunked compile (as the scalar SU kernel) with the vector helpers
     -- and, for limb-aware code, the split-limb evaluators -- available
     as globals of the generated functions."""
-    np = numpy_or_none()
-    helpers = make_helpers(np)
+    helpers = codegen_namespace(numpy_target(numpy_or_none()))
     if extra_namespace:
         helpers = {**helpers, **extra_namespace}
     functions: List[Callable] = []

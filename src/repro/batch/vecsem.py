@@ -1,170 +1,82 @@
 """Lane-vectorised operation semantics for the batched walk kernel.
 
-This is :mod:`repro.graph.opsem` lifted over the lane rank: every
-evaluator keeps the scalar signature ``fn(args, widths, out_width)`` but
-consumes and produces lane *vectors* (NumPy arrays of B lanes) instead of
-scalars.  The paper's map/reduce structure is preserved -- the map compute
-operator now maps over lanes as well as coordinates, and the reduce
-operator folds the ``O`` rank pairwise exactly as Algorithm 3 does --
-which is what makes the lane rank free: it rides along every Einsum
-without changing the traversal.
+This is the op table of :mod:`repro.graph.opsem` bound to the NumPy
+targets: every evaluator keeps the scalar signature ``fn(args, widths,
+out_width)`` but consumes and produces lane *vectors* (NumPy arrays of B
+lanes) instead of scalars.  The paper's map/reduce structure is preserved
+-- the map compute operator now maps over lanes as well as coordinates,
+and the reduce operator folds the ``O`` rank pairwise exactly as
+Algorithm 3 does -- which is what makes the lane rank free: it rides
+along every Einsum without changing the traversal.
 
-Two single-row modes share the formulas (:func:`make_vec_table`):
+:func:`make_vec_table` binds the table to the single-row target
+(:func:`repro.batch.backend.numpy_target`), in one of two modes:
 
 * ``u64``    -- operands are uint64 lane vectors.  Wrap-around modulo
   2**64 followed by the output-width mask is exact for every arithmetic
-  op once shifts are guarded (see :func:`repro.batch.backend.make_helpers`).
+  op once shifts are guarded.
 * ``object`` -- operands are object arrays of Python ints, bit-exact at
   any width.  Comparison results are normalised back to Python ints so
   fixed-width NumPy scalars can never leak into the unbounded arithmetic.
 
-:func:`make_limb_table` is the split-limb ``u64xN`` variant: operands and
-results are ``(limbs, B)`` uint64 matrices (little-endian limb rows of
-the flat plane, :class:`repro.batch.backend.LimbLayout`).  Arithmetic
-propagates carries/borrows limb by limb, multiplication runs schoolbook
-over 32-bit halves, division runs vectorised restoring long division
-(one compare/subtract vector step per dividend bit), comparisons fold
-from the most-significant limb, and shifts/cat/bits move bits across
-limb rows -- all still vectorised NumPy expressions over the lane rank,
-so the lane rank stays free on >64-bit slots.
+:func:`make_limb_table` binds it to the split-limb ``u64xN`` target
+(:func:`limb_target`): operands and results are ``(limbs, B)`` uint64
+matrices (little-endian limb rows of the flat plane,
+:class:`repro.batch.backend.LimbLayout`).  Arithmetic propagates
+carries/borrows limb by limb, multiplication runs schoolbook over 32-bit
+halves, division runs vectorised restoring long division (one
+compare/subtract vector step per dividend bit), comparisons fold from
+the most-significant limb, and shifts/cat/bits move bits across limb
+rows -- all still vectorised NumPy expressions over the lane rank, so
+the lane rank stays free on >64-bit slots.  Those algorithms are the
+target's primitives; nothing here is per-op.
 
-Bit-exactness against the scalar table is asserted op-by-op in the tests.
+Bit-exactness of every op on every target against the FIRRTL reference
+evaluators is asserted in ``tests/test_op_conformance.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List
 
-from ..graph.opsem import MAX_CHAIN
-from .backend import LIMB_BITS, limbs_for_width, make_helpers, popcount_parity, split_limbs
-
-#: Vector evaluator signature, mirroring :data:`repro.graph.opsem.Evaluator`.
-VecEvaluator = Callable[[Sequence[object], Sequence[int], int], object]
+from ..graph.opsem import BITWISE, Evaluator, Target, bind_table
+from .backend import LIMB_BITS, limbs_for_width, numpy_target, popcount_parity, split_limbs
 
 
-def make_vec_table(np, mode: str = "u64") -> Dict[str, VecEvaluator]:
-    """Build the ``op name -> lane-vector evaluator`` table for one mode."""
-    object_mode = mode == "object"
-    helpers = make_helpers(np, object_mode=object_mode)
-    where = helpers["_where"]
-    vdiv, vrem = helpers["_div"], helpers["_rem"]
-    dshl, dshr, vhead, pop = (
-        helpers["_dshl"], helpers["_dshr"], helpers["_head"], helpers["_pop"],
-    )
-
-    def m(x, width):
-        """The slot-width mask, applied exactly where the scalar table does."""
-        if width <= 0:
-            return x & 0
-        return x & ((1 << width) - 1)
-
-    if object_mode:
-        def ii(comparison):
-            # bool ndarray -> object ndarray of Python ints (0/1), so that
-            # downstream unbounded arithmetic never sees numpy scalars.
-            return comparison.astype(object) * 1
-    else:
-        def ii(comparison):
-            return comparison  # storage rows cast bool -> uint64
-
-    table: Dict[str, VecEvaluator] = {}
-
-    def define(name: str, fn: VecEvaluator) -> None:
-        table[name] = fn
-
-    # -- reduce-class (binary) ops, same shapes as graph/opsem ----------
-    define("add", lambda a, w, ow: m(a[0] + a[1], ow))
-    define("sub", lambda a, w, ow: m(a[0] - a[1], ow))
-    define("mul", lambda a, w, ow: m(a[0] * a[1], ow))
-    define("div", lambda a, w, ow: m(vdiv(a[0], a[1]), ow))
-    define("rem", lambda a, w, ow: m(vrem(a[0], a[1]), ow))
-    define("lt", lambda a, w, ow: ii(a[0] < a[1]))
-    define("leq", lambda a, w, ow: ii(a[0] <= a[1]))
-    define("gt", lambda a, w, ow: ii(a[0] > a[1]))
-    define("geq", lambda a, w, ow: ii(a[0] >= a[1]))
-    define("eq", lambda a, w, ow: ii(a[0] == a[1]))
-    define("neq", lambda a, w, ow: ii(a[0] != a[1]))
-    define("and", lambda a, w, ow: a[0] & a[1])
-    define("or", lambda a, w, ow: a[0] | a[1])
-    define("xor", lambda a, w, ow: a[0] ^ a[1])
-    def cat(a, w, ow):
-        # A 64-bit lhs shift (only possible with a zero-width lhs) would be
-        # UB on uint64; the lhs is then constant zero, so pass rhs through.
-        if object_mode or w[1] < 64:
-            return m((a[0] << w[1]) | a[1], ow)
-        return m(a[1], ow)
-
-    define("cat", cat)
-    define("dshl", lambda a, w, ow: m(dshl(a[0], a[1], ow), ow))
-    define("shl", lambda a, w, ow: m(dshl(a[0], a[1], ow), ow))
-    define("dshr", lambda a, w, ow: m(dshr(a[0], a[1], w[0]), ow))
-    define("shr", lambda a, w, ow: m(dshr(a[0], a[1], w[0]), ow))
-    define("pad", lambda a, w, ow: m(a[0], ow))
-    define("head", lambda a, w, ow: m(vhead(a[0], a[1], w[0]), ow))
-    define("tail", lambda a, w, ow: m(a[0], ow))
-
-    # -- unary (map-class) ops ------------------------------------------
-    define("not", lambda a, w, ow: m(~a[0], ow))
-    define("neg", lambda a, w, ow: m(-a[0], ow))
-    define("cvt", lambda a, w, ow: m(a[0], ow))
-    define("andr", lambda a, w, ow: ii(a[0] == ((1 << w[0]) - 1)))
-    define("orr", lambda a, w, ow: ii(a[0] != 0))
-    define("xorr", lambda a, w, ow: pop(a[0]))
-    define("asUInt", lambda a, w, ow: m(a[0], ow))
-    define("asSInt", lambda a, w, ow: m(a[0], ow))
-    define("ident", lambda a, w, ow: m(a[0], ow))
-
-    # -- select (gather-all) ops ----------------------------------------
-    define("mux", lambda a, w, ow: m(where(a[0], a[1], a[2]), ow))
-    define("bits", lambda a, w, ow: m(dshr(a[0], a[2], w[0]), ow))
-
-    def muxchain(a, w, ow):
-        # [s1, v1, s2, v2, ..., default]: fold from the innermost out.
-        result = a[-1]
-        for position in range(len(a) - 3, -1, -2):
-            result = where(a[position], a[position + 1], result)
-        return m(result, ow)
-
-    def logic_chain(op):
-        def fn(a, w, ow):
-            result = a[0]
-            for value in a[1:]:
-                result = op(result, value)
-            return m(result, ow)
-
-        return fn
-
-    for k in range(2, MAX_CHAIN + 1):
-        define(f"muxchain{k}", muxchain)
-        define(f"orchain{k}", logic_chain(lambda x, y: x | y))
-        define(f"andchain{k}", logic_chain(lambda x, y: x & y))
-        define(f"xorchain{k}", logic_chain(lambda x, y: x ^ y))
-
-    return table
+def make_vec_table(np, mode: str = "u64") -> Dict[str, Evaluator]:
+    """The ``op name -> lane-vector evaluator`` table for one mode."""
+    return bind_table(numpy_target(np, object_mode=mode == "object"))
 
 
 # ----------------------------------------------------------------------
 # Split-limb (u64xN) evaluators
 # ----------------------------------------------------------------------
-def make_limb_table(np) -> Dict[str, VecEvaluator]:
+def make_limb_table(np) -> Dict[str, Evaluator]:
     """The ``op name -> limb-matrix evaluator`` table for the ``u64xN``
     backend.
 
     Every evaluator consumes ``(limbs, B)`` uint64 matrices (operand limb
     counts follow the operand widths) and returns a
-    ``(limbs_for_width(out_width), B)`` matrix masked to ``out_width``.
-    Only ops that actually see a >64-bit operand or result are routed
-    here; single-limb ops stay on the plain ``u64`` table (see
-    :func:`repro.batch.kernels._walk_schedule`).
+    ``(limbs_for_width(out_width), B)`` matrix masked to ``out_width``
+    -- every result is fit, since a limb matrix carries its row count as
+    well as its value.  Only ops that actually see a >64-bit operand or
+    result are routed here; single-limb ops stay on the plain ``u64``
+    table (see :func:`repro.lower.plan.limb_plan`).
     """
+    return bind_table(limb_target(np), fit_all=True)
+
+
+def limb_target(np) -> Target:
+    """The split-limb target: the op table's primitives over ``(limbs,
+    B)`` uint64 matrices.  Results are sized from ``ow`` where a
+    primitive takes it and left to ``fit`` otherwise."""
     u64 = np.uint64
     ZERO, ONE = u64(0), u64(1)
     M32 = u64(0xFFFFFFFF)
     HALF = u64(32)
     pop = popcount_parity(np)
 
-    def nl(width: int) -> int:
-        return limbs_for_width(width)
+    nl = limbs_for_width
 
     def ext(x, count: int):
         """Zero-extend (or truncate) a limb matrix to ``count`` rows.
@@ -224,7 +136,7 @@ def make_limb_table(np) -> Dict[str, VecEvaluator]:
             total = partial + carry
             out[i] = total
             carry = (overflow | (total < partial)).astype(np.uint64)
-        return m(out, ow)
+        return out
 
     def lsub(a, b, ow):
         count = nl(ow)
@@ -237,7 +149,7 @@ def make_limb_table(np) -> Dict[str, VecEvaluator]:
             total = partial - borrow
             out[i] = total
             borrow = (underflow | (partial < borrow)).astype(np.uint64)
-        return m(out, ow)
+        return out
 
     def lmul(a, b, wa: int, wb: int, ow):
         # Width-aware schoolbook over 32-bit halves: partial products are
@@ -249,10 +161,7 @@ def make_limb_table(np) -> Dict[str, VecEvaluator]:
         count = nl(ow)
         if wa == 1 or wb == 1:
             gate, value = (a, b) if wa == 1 else (b, a)
-            return m(
-                np.where(gate[0][None, :].astype(bool), ext(value, count), ZERO),
-                ow,
-            )
+            return np.where(gate[0][None, :].astype(bool), ext(value, count), ZERO)
         a, b = ext(a, count), ext(b, count)
         halves = 2 * count
         halves_a = min(halves, max(1, (wa + 31) // 32))
@@ -276,7 +185,7 @@ def make_limb_table(np) -> Dict[str, VecEvaluator]:
         out = np.empty_like(a)
         for i in range(count):
             out[i] = out_halves[2 * i] | (out_halves[2 * i + 1] << HALF)
-        return m(out, ow)
+        return out
 
     # -- >64-bit div/rem: vectorised restoring division -----------------
     def ldivmod(a, b, wa: int, wb: int):
@@ -296,7 +205,7 @@ def make_limb_table(np) -> Dict[str, VecEvaluator]:
         quotient = np.zeros((count_q, lanes), dtype=np.uint64)
         remainder = np.zeros((count_r, lanes), dtype=np.uint64)
         zero_divisor = ~nonzero(b)
-        full = count_r * LIMB_BITS  # lsub mask width; a no-op mask
+        full = count_r * LIMB_BITS
         for i in range(min(wa, count_q * LIMB_BITS) - 1, -1, -1):
             word, offset = divmod(i, LIMB_BITS)
             bit_i = (a[word] >> u64(offset)) & ONE
@@ -318,12 +227,6 @@ def make_limb_table(np) -> Dict[str, VecEvaluator]:
             np.where(zero, ZERO, quotient),
             np.where(zero, ZERO, remainder),
         )
-
-    def ldiv(a, b, wa, wb, ow):
-        return m(ldivmod(a, b, wa, wb)[0], ow)
-
-    def lrem(a, b, wa, wb, ow):
-        return m(ldivmod(a, b, wa, wb)[1], ow)
 
     # -- comparisons: fold from the most-significant limb ---------------
     def compare(a, b):
@@ -384,7 +287,7 @@ def make_limb_table(np) -> Dict[str, VecEvaluator]:
                 if j >= 1:
                     row = row | np.where(has_bits, a[j - 1] >> spill, ZERO)
                 out[i] = np.where(selected, row, out[i])
-        return m(np.where(too_big[None, :], ZERO, out), ow)
+        return np.where(too_big[None, :], ZERO, out)
 
     def ldshr(a, s, in_width: int, ow):
         source = nl(in_width)
@@ -406,124 +309,71 @@ def make_limb_table(np) -> Dict[str, VecEvaluator]:
                 if j + 1 < source:
                     row = row | np.where(has_bits, a[j + 1] << spill, ZERO)
                 out[i] = np.where(selected, row, out[i])
-        return m(np.where(too_big[None, :], ZERO, out), ow)
+        return np.where(too_big[None, :], ZERO, out)
 
-    def lwhere(condition, then, other, ow):
-        count = nl(ow)
-        return m(
-            np.where(condition[None, :], ext(then, count), ext(other, count)), ow
-        )
+    def widen(a, b):
+        count = max(a.shape[0], b.shape[0])
+        return ext(a, count), ext(b, count)
 
-    # -- the table -------------------------------------------------------
-    table: Dict[str, VecEvaluator] = {}
+    def lt(a, b):
+        return bit(compare(a, b)[0])
 
-    def define(name: str, fn: VecEvaluator) -> None:
-        table[name] = fn
+    def eq(a, b):
+        return bit(compare(a, b)[1])
 
-    def lless(a, w, ow):
-        return bit(compare(a[0], a[1])[0])
-
-    def lleq(a, w, ow):
-        less, equal = compare(a[0], a[1])
-        return bit(less | equal)
-
-    def lgeq(a, w, ow):
-        less, _ = compare(a[0], a[1])
-        return bit(~less)
-
-    define("add", lambda a, w, ow: ladd(a[0], a[1], ow))
-    define("sub", lambda a, w, ow: lsub(a[0], a[1], ow))
-    define("mul", lambda a, w, ow: lmul(a[0], a[1], w[0], w[1], ow))
-    define("div", lambda a, w, ow: ldiv(a[0], a[1], w[0], w[1], ow))
-    define("rem", lambda a, w, ow: lrem(a[0], a[1], w[0], w[1], ow))
-    define("lt", lless)
-    define("leq", lleq)
-    define("gt", lambda a, w, ow: bit(compare(a[1], a[0])[0]))
-    define("geq", lgeq)
-    define("eq", lambda a, w, ow: bit(compare(a[0], a[1])[1]))
-    define("neq", lambda a, w, ow: bit(~compare(a[0], a[1])[1]))
-    define("and", lambda a, w, ow: m(ext(a[0], nl(ow)) & ext(a[1], nl(ow)), ow))
-    define("or", lambda a, w, ow: m(ext(a[0], nl(ow)) | ext(a[1], nl(ow)), ow))
-    define("xor", lambda a, w, ow: m(ext(a[0], nl(ow)) ^ ext(a[1], nl(ow)), ow))
-    define(
-        "cat",
-        lambda a, w, ow: m(shift_left_const(a[0], w[1], ow) | ext(a[1], nl(ow)), ow),
-    )
-    define("dshl", lambda a, w, ow: ldshl(a[0], a[1], ow))
-    define("shl", lambda a, w, ow: ldshl(a[0], a[1], ow))
-    define("dshr", lambda a, w, ow: ldshr(a[0], a[1], w[0], ow))
-    define("shr", lambda a, w, ow: ldshr(a[0], a[1], w[0], ow))
-    define("pad", lambda a, w, ow: m(a[0], ow))
-    define("tail", lambda a, w, ow: m(a[0], ow))
-
-    def lhead(a, w, ow):
+    def lhead(a, n, in_width: int, ow):
         # shift = in_width - min(n, in_width), per lane; n >= in_width
         # (including any high limbs) clamps to a zero shift.
-        in_width = w[0]
-        n0 = a[1][0]
+        n0 = n[0]
         clamp = n0 >= u64(max(in_width, 1))
-        for row in range(1, a[1].shape[0]):
-            clamp = clamp | (a[1][row] != ZERO)
+        for row in range(1, n.shape[0]):
+            clamp = clamp | (n[row] != ZERO)
         clamped = np.where(clamp, u64(in_width), n0)
         shift = (u64(in_width) - clamped)[None, :]
-        return ldshr(a[0], shift, in_width, ow)
+        return ldshr(a, shift, in_width, ow)
 
-    define("head", lhead)
-
-    define("not", lambda a, w, ow: m(~ext(a[0], nl(ow)), ow))
-    define("neg", lambda a, w, ow: lsub(np.zeros((1, a[0].shape[1]), dtype=np.uint64), a[0], ow))
-    define("cvt", lambda a, w, ow: m(a[0], ow))
-
-    def landr(a, w, ow):
-        count = limbs_for_width(w[0])
-        x = ext(a[0], count)
-        full = mask_vector(w[0], count)
+    def all_ones(a, width: int):
+        count = nl(width)
+        x = ext(a, count)
+        full = mask_vector(width, count)
         flag = x[0] == full[0][0]
         for row in range(1, count):
             flag = flag & (x[row] == full[row][0])
         return bit(flag)
 
-    define("andr", landr)
-    define("orr", lambda a, w, ow: bit(nonzero(a[0])))
-
-    def lxorr(a, w, ow):
-        folded = a[0][0]
-        for row in range(1, a[0].shape[0]):
-            folded = folded ^ a[0][row]
+    def parity(a):
+        folded = a[0]
+        for row in range(1, a.shape[0]):
+            folded = folded ^ a[row]
         return pop(folded)[None, :]
 
-    define("xorr", lxorr)
-    define("asUInt", lambda a, w, ow: m(a[0], ow))
-    define("asSInt", lambda a, w, ow: m(a[0], ow))
-    define("ident", lambda a, w, ow: m(a[0], ow))
-
-    define("mux", lambda a, w, ow: lwhere(nonzero(a[0]), a[1], a[2], ow))
-    define("bits", lambda a, w, ow: ldshr(a[0], a[2], w[0], ow))
-
-    def lmuxchain(a, w, ow):
-        # [s1, v1, s2, v2, ..., default]: fold from the innermost out.
-        count = nl(ow)
-        result = ext(a[-1], count)
-        for position in range(len(a) - 3, -1, -2):
-            result = np.where(
-                nonzero(a[position])[None, :], ext(a[position + 1], count), result
-            )
-        return m(result, ow)
-
-    def limb_chain(op):
-        def fn(a, w, ow):
-            count = nl(ow)
-            result = ext(a[0], count)
-            for value in a[1:]:
-                result = op(result, ext(value, count))
-            return m(result, ow)
-
-        return fn
-
-    for k in range(2, MAX_CHAIN + 1):
-        define(f"muxchain{k}", lmuxchain)
-        define(f"orchain{k}", limb_chain(lambda x, y: x | y))
-        define(f"andchain{k}", limb_chain(lambda x, y: x & y))
-        define(f"xorchain{k}", limb_chain(lambda x, y: x ^ y))
-
-    return table
+    return Target(
+        add=ladd,
+        sub=lsub,
+        mul=lmul,
+        div=lambda a, b, wa, wb: ldivmod(a, b, wa, wb)[0],
+        rem=lambda a, b, wa, wb: ldivmod(a, b, wa, wb)[1],
+        compare={
+            "<": lt,
+            "<=": lambda a, b: lt(b, a) ^ ONE,
+            ">": lambda a, b: lt(b, a),
+            ">=": lambda a, b: lt(a, b) ^ ONE,
+            "==": eq,
+            "!=": lambda a, b: eq(a, b) ^ ONE,
+        },
+        bitwise={
+            sym: (lambda a, b, combine=combine: combine(*widen(a, b)))
+            for sym, combine in BITWISE.items()
+        },
+        invert=lambda a, ow: ~ext(a, nl(ow)),
+        neg=lambda a, ow: lsub(np.zeros((1, a.shape[1]), dtype=np.uint64), a, ow),
+        shl=ldshl,
+        shr=ldshr,
+        head=lhead,
+        cat=lambda a, b, wb, ow: shift_left_const(a, wb, ow) | ext(b, nl(ow)),
+        select=lambda c, t, f: np.where(nonzero(c)[None, :], *widen(t, f)),
+        truth=lambda a: bit(nonzero(a)),
+        all_ones=all_ones,
+        parity=parity,
+        fit=m,
+    )

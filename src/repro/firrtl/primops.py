@@ -91,6 +91,12 @@ def _dshl_width(widths, params):
     return widths[0] + min((1 << widths[1]) - 1, 64)
 
 
+def _shift_left(value: int, amount: int, out_width: int) -> int:
+    # A shift at or past the output width leaves nothing in-width; say so
+    # before Python materialises a 2**amount-bit integer for the mask.
+    return mask(value << amount, out_width) if amount < out_width else 0
+
+
 PRIM_OPS: dict[str, PrimOp] = {}
 
 
@@ -132,7 +138,7 @@ DSHL = _register(
         2,
         0,
         _dshl_width,
-        lambda args, widths, params, ow: mask(args[0] << args[1], ow),
+        lambda args, widths, params, ow: _shift_left(args[0], args[1], ow),
     )
 )
 DSHR = _register(
@@ -233,7 +239,7 @@ SHL = _register(
         1,
         1,
         lambda w, p: w[0] + p[0],
-        lambda args, widths, params, ow: mask(args[0] << params[0], ow),
+        lambda args, widths, params, ow: _shift_left(args[0], params[0], ow),
     )
 )
 SHR = _register(

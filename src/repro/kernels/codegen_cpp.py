@@ -11,11 +11,12 @@ statistics that drive the compile-cost and binary-size models
 generated statements*, calibrated against the paper's Table 4.
 
 This module is the paper's *modelled* C++ generation; the **executable**
-compiled path is :mod:`repro.lower.cbackend`, which emits a batched,
-guard-exact C translation unit from the same shared
-:class:`~repro.lower.program.OimProgram` these generators now iterate
-(``cpp_expr`` here is the paper's unguarded single-lane rendering and is
-never compiled).
+compiled path is :mod:`repro.lower.cbackend`, which emits a batched C
+translation unit from the same shared
+:class:`~repro.lower.program.OimProgram` these generators iterate.  The
+per-op expressions here are that backend's own C dialect
+(:func:`repro.lower.cbackend.c_expr`) -- only the surrounding loops and
+tensor accesses are modelled, and none of this text is ever compiled.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..graph.opsem import REDUCE, SELECT, UNARY
+from ..lower.cbackend import c_expr
 from ..lower.program import ProgramRow, cached_program
 from ..oim.builder import OimBundle
 from ..oim.formats import oim_storage_bytes
@@ -33,7 +35,6 @@ from .config import (
     PSU_WRITEBACK_UNROLL,
     get_kernel_config,
 )
-from .expr import cpp_expr
 
 #: Bytes of fixed runtime in the binary (driver, JSON loader, libc++ bits);
 #: calibrated to Table 4's 0.34-0.35 MB for the rolled kernels.
@@ -160,7 +161,7 @@ def _rolled_interpreter(bundle: OimBundle, config: KernelConfig) -> str:
 def _op_body(entry, indent: str, args: str = "args") -> str:
     names = [f"{args}[{k}]" for k in range(entry.arity)]
     widths = [64] * entry.arity
-    expression = cpp_expr(entry.name, names, widths, 64)
+    expression = c_expr(entry.name, names, widths, 64)
     return f"{indent}V[s] = {expression};\n"
 
 
@@ -262,7 +263,7 @@ def _straight_line_source(
                 args.append(f"v{r}")
             else:
                 args.append(f"V[{r}]")
-        expression = cpp_expr(program.op_names[n], args, widths, out_width)
+        expression = c_expr(program.op_names[n], args, widths, out_width)
         target = f"const u64 v{s}" if tensor_inline else f"V[{s}]"
         lines.append(f"  {target} = {expression};")
         statements += 1

@@ -1,8 +1,12 @@
-"""Per-operation expression code generation.
+"""Per-operation expression code generation: the Python and NumPy dialects.
 
-Shared by the unrolled Python kernels (IU/SU/TI), the C++ kernel generator,
-and the baseline backends.  Given an operation, operand expressions, operand
-widths and the output width, produce a source-level expression string.
+Shared by the unrolled Python kernels (IU/SU/TI), the batched SU codegen
+kernel and the baseline backends.  Given an operation, operand expressions,
+operand widths and the output width, produce a source-level expression
+string.  What an op *means* comes from the one table in
+:mod:`repro.graph.opsem`; this module only holds how two dialects of its
+:class:`~repro.graph.opsem.Dialect` renderer spell the primitives (the C
+dialect lives next to the prelude it calls, in :mod:`repro.lower.cbackend`).
 
 Constant operands (FIRRTL static parameters) are inlined by callers before
 reaching here where beneficial.
@@ -10,51 +14,66 @@ reaching here where beneficial.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
+
+from ..graph.opsem import Dialect, get_semantics
 
 
-def _mask_literal(width: int, lang: str) -> str:
-    value = (1 << width) - 1
-    if lang == "py":
-        return hex(value)
-    if width > 32:
-        return f"{hex(value)}ULL"
-    return hex(value)
+class PythonDialect(Dialect):
+    """Expressions over unbounded Python ints: no word size, so no shift
+    folding and no guarded helpers -- conditionals are spelled inline."""
+
+    def div(self, x, y, *_widths):
+        return f"({x} // {y} if {y} else 0)"
+
+    def rem(self, x, y, *_widths):
+        return f"({x} % {y} if {y} else 0)"
+
+    def relation(self, rel, x, y):
+        return f"(1 if {x} {rel} {y} else 0)"
+
+    def shl(self, x, s, ow):
+        # Never shift past the output width: ``x << (1 << 40)`` would
+        # materialise the whole integer before the mask discards it.
+        shift = self.const(s)
+        if shift is None:
+            return f"({x} << {s} if {s} < {ow} else 0)"
+        return f"{x} << {shift}" if shift < ow else "0"
+
+    def shr(self, x, s, w, *_ow):
+        return f"({x} >> {s})"
+
+    def head(self, x, n, w, *_ow):
+        return f"({x} >> max({w} - {n}, 0))"
+
+    def cat(self, x, y, wy, ow):
+        return f"({x} << {wy}) | {y}"
+
+    def select(self, c, t, f):
+        return f"({t} if {c} else {f})"
+
+    def truth(self, x):
+        return f"(1 if {x} else 0)"
+
+    def parity(self, x):
+        return f"bin({x}).count('1') & 1"
 
 
-#: Ops whose result already fits the output width when the operands do.
-_NO_MASK = {
-    "and", "or", "xor", "mux", "lt", "leq", "gt", "geq", "eq",
-    "neq", "andr", "orr", "xorr", "pad", "asUInt", "asSInt", "ident",
-    "shr", "dshr", "head",
-}
+PYTHON = PythonDialect()
+NUMPY = Dialect()
 
 
 def needs_mask(op: str) -> bool:
-    base = op.rstrip("0123456789")
-    if base in ("muxchain", "orchain", "andchain", "xorchain"):
-        return False
-    return op not in _NO_MASK
+    """False for ops whose result already fits the output width when the
+    operands do."""
+    return get_semantics(op).masked
 
 
 def python_expr(
     op: str, args: Sequence[str], widths: Sequence[int], out_width: int
 ) -> str:
     """Render one operation as a Python expression over ``args`` strings."""
-    expr = _core_expr(op, args, widths, out_width, lang="py")
-    if needs_mask(op):
-        return f"({expr}) & {_mask_literal(out_width, 'py')}"
-    return expr
-
-
-def cpp_expr(
-    op: str, args: Sequence[str], widths: Sequence[int], out_width: int
-) -> str:
-    """Render one operation as a C/C++ expression over ``args`` strings."""
-    expr = _core_expr(op, args, widths, out_width, lang="cpp")
-    if needs_mask(op):
-        return f"({expr}) & {_mask_literal(out_width, 'cpp')}"
-    return expr
+    return PYTHON.render(op, args, widths, out_width)
 
 
 def numpy_expr(
@@ -70,23 +89,7 @@ def numpy_expr(
     generated namespace.  Only valid when every slot width fits uint64;
     wider designs take the object-array walk kernel instead.
     """
-    expr = _numpy_core(op, args, widths, out_width)
-    if needs_mask(op):
-        return f"({expr}) & {_mask_literal(out_width, 'py')}"
-    return expr
-
-
-#: Base op names with a split-limb evaluator (suffix digits allowed for
-#: the chain ops).  This is the canonical op vocabulary shared with
-#: :func:`repro.batch.vecsem.make_limb_table` (which defines an evaluator
-#: per name) and the layer-blocked builders in :mod:`repro.batch.kernels`.
-LIMB_OP_BASES = frozenset({
-    "add", "sub", "mul", "div", "rem", "lt", "leq", "gt", "geq", "eq",
-    "neq", "and", "or", "xor", "cat", "dshl", "shl", "dshr", "shr",
-    "pad", "head", "tail", "not", "neg", "cvt", "andr", "orr", "xorr",
-    "asUInt", "asSInt", "ident", "mux", "bits",
-    "muxchain", "orchain", "andchain", "xorchain",
-})
+    return NUMPY.render(op, args, widths, out_width)
 
 
 def numpy_limb_expr(
@@ -102,192 +105,7 @@ def numpy_limb_expr(
     that the kernel injects into the generated namespace.  The evaluator
     applies the output-width mask itself, so no trailing mask is emitted.
     """
-    base = op.rstrip("0123456789")
-    if base not in LIMB_OP_BASES or (base != op and base not in
-                                     ("muxchain", "orchain", "andchain", "xorchain")):
-        raise KeyError(f"no split-limb expression template for op {op!r}")
+    get_semantics(op)  # unknown ops are rejected here, not at run time
     arg_list = ", ".join(args) + ("," if len(args) == 1 else "")
     width_list = ", ".join(str(w) for w in widths) + ("," if len(widths) == 1 else "")
     return f"_limb_{op}(({arg_list}), ({width_list}), {out_width})"
-
-
-def _const_shift(text: str) -> int | None:
-    """Shift amounts reach codegen as inlined decimal constants."""
-    try:
-        return int(text, 0)
-    except ValueError:
-        return None
-
-
-def _numpy_core(
-    op: str, args: Sequence[str], widths: Sequence[int], out_width: int
-) -> str:
-    a = list(args)
-    if op == "add":
-        return f"{a[0]} + {a[1]}"
-    if op == "sub":
-        return f"{a[0]} - {a[1]}"
-    if op == "mul":
-        return f"{a[0]} * {a[1]}"
-    if op == "div":
-        return f"_div({a[0]}, {a[1]})"
-    if op == "rem":
-        return f"_rem({a[0]}, {a[1]})"
-    if op in ("lt", "leq", "gt", "geq", "eq", "neq"):
-        symbol = {"lt": "<", "leq": "<=", "gt": ">", "geq": ">=", "eq": "==", "neq": "!="}[op]
-        return f"({a[0]} {symbol} {a[1]})"
-    if op == "and":
-        return f"{a[0]} & {a[1]}"
-    if op == "or":
-        return f"{a[0]} | {a[1]}"
-    if op == "xor":
-        return f"{a[0]} ^ {a[1]}"
-    if op == "cat":
-        if widths[1] >= 64:
-            return a[1]  # a 64-bit shift only arises with a zero-width lhs
-        return f"({a[0]} << {widths[1]}) | {a[1]}"
-    if op in ("dshl", "shl"):
-        shift = _const_shift(a[1])
-        if shift is None:
-            return f"_dshl({a[0]}, {a[1]}, {out_width})"
-        if shift >= out_width:
-            return f"{a[0]} & 0"
-        return f"{a[0]} << {shift}"
-    if op in ("dshr", "shr"):
-        shift = _const_shift(a[1])
-        if shift is None:
-            return f"_dshr({a[0]}, {a[1]}, {widths[0]})"
-        if shift >= widths[0]:
-            return f"{a[0]} & 0"
-        return f"{a[0]} >> {shift}"
-    if op == "pad":
-        return a[0]
-    if op == "tail":
-        return a[0]
-    if op == "head":
-        head = _const_shift(a[1])
-        if head is None:
-            return f"_head({a[0]}, {a[1]}, {widths[0]})"
-        shift = max(widths[0] - head, 0)
-        if shift >= widths[0] and widths[0] > 0:
-            return f"{a[0]} & 0"
-        return f"{a[0]} >> {shift}" if shift else a[0]
-    if op == "not":
-        return f"~{a[0]}"
-    if op == "neg":
-        return f"-{a[0]}"
-    if op in ("cvt", "asUInt", "asSInt", "ident"):
-        return a[0]
-    if op == "andr":
-        full = (1 << widths[0]) - 1
-        return f"({a[0]} == {hex(full)})"
-    if op == "orr":
-        return f"({a[0]} != 0)"
-    if op == "xorr":
-        return f"_pop({a[0]})"
-    if op == "mux":
-        return f"_where({a[0]}, {a[1]}, {a[2]})"
-    if op == "bits":
-        # a = [value, hi, lo]; hi/lo reach codegen as inline constants.
-        shift = _const_shift(a[2])
-        if shift is None:
-            return f"_dshr({a[0]}, {a[2]}, {widths[0]})"
-        if shift >= widths[0] and widths[0] > 0:
-            return f"{a[0]} & 0"
-        return f"({a[0]} >> {shift})"
-
-    base = op.rstrip("0123456789")
-    if base == "muxchain":
-        # a = [s1, v1, s2, v2, ..., default]; build from the innermost out.
-        expression = a[-1]
-        for position in range(len(a) - 3, -1, -2):
-            expression = f"_where({a[position]}, {a[position + 1]}, {expression})"
-        return expression
-    if base in ("orchain", "andchain", "xorchain"):
-        symbol = {"orchain": "|", "andchain": "&", "xorchain": "^"}[base]
-        return f" {symbol} ".join(a)
-    raise KeyError(f"no numpy expression template for op {op!r}")
-
-
-def _core_expr(
-    op: str, args: Sequence[str], widths: Sequence[int], out_width: int, lang: str
-) -> str:
-    a = list(args)
-    ternary = (
-        (lambda c, t, f: f"({t} if {c} else {f})")
-        if lang == "py"
-        else (lambda c, t, f: f"(({c}) ? ({t}) : ({f}))")
-    )
-    truthy = (lambda x: f"1 if {x} else 0") if lang == "py" else (lambda x: f"(({x}) != 0)")
-
-    if op == "add":
-        return f"{a[0]} + {a[1]}"
-    if op == "sub":
-        return f"{a[0]} - {a[1]}"
-    if op == "mul":
-        return f"{a[0]} * {a[1]}"
-    if op == "div":
-        if lang == "py":
-            return f"({a[0]} // {a[1]} if {a[1]} else 0)"
-        return f"(({a[1]}) ? ({a[0]} / {a[1]}) : 0)"
-    if op == "rem":
-        if lang == "py":
-            return f"({a[0]} % {a[1]} if {a[1]} else 0)"
-        return f"(({a[1]}) ? ({a[0]} % {a[1]}) : 0)"
-    if op in ("lt", "leq", "gt", "geq", "eq", "neq"):
-        symbol = {"lt": "<", "leq": "<=", "gt": ">", "geq": ">=", "eq": "==", "neq": "!="}[op]
-        comparison = f"{a[0]} {symbol} {a[1]}"
-        if lang == "py":
-            return f"(1 if {comparison} else 0)"
-        return f"({comparison})"
-    if op == "and":
-        return f"{a[0]} & {a[1]}"
-    if op == "or":
-        return f"{a[0]} | {a[1]}"
-    if op == "xor":
-        return f"{a[0]} ^ {a[1]}"
-    if op == "cat":
-        return f"({a[0]} << {widths[1]}) | {a[1]}"
-    if op in ("dshl", "shl"):
-        return f"{a[0]} << {a[1]}"
-    if op in ("dshr", "shr"):
-        return f"{a[0]} >> {a[1]}"
-    if op == "pad":
-        return a[0]
-    if op == "tail":
-        return a[0]
-    if op == "head":
-        return f"{a[0]} >> ({widths[0]} - {a[1]})" if widths[0] else a[0]
-    if op == "not":
-        return f"~{a[0]}"
-    if op == "neg":
-        return f"-{a[0]}"
-    if op in ("cvt", "asUInt", "asSInt", "ident"):
-        return a[0]
-    if op == "andr":
-        full = (1 << widths[0]) - 1
-        comparison = f"{a[0]} == {hex(full)}"
-        return f"(1 if {comparison} else 0)" if lang == "py" else f"({comparison})"
-    if op == "orr":
-        return f"({truthy(a[0])})"
-    if op == "xorr":
-        if lang == "py":
-            return f"bin({a[0]}).count('1') & 1"
-        return f"(__builtin_popcountll({a[0]}) & 1)"
-    if op == "mux":
-        return ternary(a[0], a[1], a[2])
-    if op == "bits":
-        # a = [value, hi, lo]; hi/lo reach codegen as inline constants.
-        return f"({a[0]} >> {a[2]})"
-
-    base = op.rstrip("0123456789")
-    if base == "muxchain":
-        # a = [s1, v1, s2, v2, ..., default]; build from the innermost out.
-        expression = a[-1]
-        for position in range(len(a) - 3, -1, -2):
-            expression = ternary(a[position], a[position + 1], expression)
-        return expression
-    if base in ("orchain", "andchain", "xorchain"):
-        symbol = {"orchain": "|", "andchain": "&", "xorchain": "^"}[base]
-        return f" {symbol} ".join(a)
-    raise KeyError(f"no expression template for op {op!r}")

@@ -21,7 +21,7 @@ Modules:
 """
 
 from .program import OimProgram, ProgramRow, cached_program, lower_program
-from .plan import blockable, is_narrow, limb_plan
+from .plan import is_narrow, limb_plan
 from .cbackend import (
     CBackendUnavailable,
     CompiledComb,
@@ -36,7 +36,6 @@ __all__ = [
     "lower_program",
     "cached_program",
     "is_narrow",
-    "blockable",
     "limb_plan",
     "CBackendUnavailable",
     "CompiledComb",

@@ -5,13 +5,14 @@ single batched C translation unit -- the whole OIM schedule as
 straight-line statements over ``uint64_t`` locals (the compiler's
 register allocator fuses chains of statements and eliminates common
 subexpression rows), wrapped in a loop over the B lanes with the NumPy
-``(num_slots, B)`` value plane passed in as a raw pointer.  The emitted
-expressions mirror :func:`repro.kernels.expr.numpy_expr` *exactly* --
-the same zero-divisor guards, shift clipping, zero-width idioms, and
-output masks -- so the compiled kernel is bit-identical to the NumPy
-codegen kernel by construction (and the differential matrix enforces
-it).  Only u64-eligible designs (every slot width <= 64) compile; wider
-designs keep the split-limb NumPy path.
+``(num_slots, B)`` value plane passed in as a raw pointer.  Each
+expression is the op table's meaning (:mod:`repro.graph.opsem`) spelled
+by :class:`CDialect` -- the same renderer, and so the same constant-shift
+folding and zero-width idioms, as the NumPy codegen kernel's dialect,
+with the guards in the prelude's ``r_*`` helpers; the op conformance
+matrix holds both to the FIRRTL reference.  Only u64-eligible designs
+(every slot width <= 64) compile; wider designs keep the split-limb
+NumPy path.
 
 :func:`compiled_comb` is the entry point: program -> cached shared
 object.  The compiled artifact is stored in the :mod:`repro.serve`
@@ -28,7 +29,6 @@ work (and report cleanly) in the no-NumPy environment too.
 
 from __future__ import annotations
 
-import atexit
 import ctypes
 import hashlib
 import os
@@ -37,9 +37,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..kernels.expr import needs_mask
+from ..graph.opsem import Dialect
 from .program import OimProgram
 
 #: Rows per generated chunk function (mirrors the Python codegen chunking;
@@ -130,105 +130,34 @@ static inline uint64_t r_pop(uint64_t x) {
 }
 """
 
-_CMP = {"lt": "<", "leq": "<=", "gt": ">", "geq": ">=", "eq": "==", "neq": "!="}
-_BIN = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
+
+class CDialect(Dialect):
+    """The op table's renderer spelling C over ``uint64_t``: the guarded
+    helpers are the prelude's ``r_*`` functions, comparisons are cast
+    back to the value type, a folded-away shift is a plain ``0``, and
+    the output mask disappears at the full word."""
+
+    suffix = "ULL"
+    prefix = "r_"
+
+    def relation(self, rel, x, y):
+        return f"(uint64_t)({x} {rel} {y})"
+
+    def zero(self, x):
+        return "0"
+
+    def select(self, c, t, f):
+        return f"({c} ? {t} : {f})"
+
+    def fit(self, x, ow):
+        if ow <= 0:
+            return "0"
+        return super().fit(x, ow) if ow < self.WORD else x
 
 
-def _c_core(
-    op: str,
-    a: Sequence[str],
-    raw: Sequence[Optional[int]],
-    widths: Sequence[int],
-    out_width: int,
-) -> str:
-    """One op as a C expression -- :func:`.expr._numpy_core` template for
-    template, with constant shift amounts folded via ``raw`` (the inlined
-    integer values; ``None`` for live operands)."""
-    if op in _BIN:
-        return f"{a[0]} {_BIN[op]} {a[1]}"
-    if op == "div":
-        return f"r_div({a[0]}, {a[1]})"
-    if op == "rem":
-        return f"r_rem({a[0]}, {a[1]})"
-    if op in _CMP:
-        return f"(uint64_t)({a[0]} {_CMP[op]} {a[1]})"
-    if op == "cat":
-        if widths[1] >= 64:
-            return a[1]  # a 64-bit shift only arises with a zero-width lhs
-        return f"({a[0]} << {widths[1]}) | {a[1]}"
-    if op in ("dshl", "shl"):
-        shift = raw[1]
-        if shift is None:
-            return f"r_dshl({a[0]}, {a[1]}, {out_width})"
-        if shift >= out_width or shift >= 64:
-            return "0"
-        return f"{a[0]} << {shift}"
-    if op in ("dshr", "shr"):
-        shift = raw[1]
-        if shift is None:
-            return f"r_dshr({a[0]}, {a[1]}, {widths[0]})"
-        if shift >= widths[0] or shift >= 64:
-            return "0"
-        return f"{a[0]} >> {shift}"
-    if op in ("pad", "tail", "cvt", "asUInt", "asSInt", "ident"):
-        return a[0]
-    if op == "head":
-        head = raw[1]
-        if head is None:
-            return f"r_head({a[0]}, {a[1]}, {widths[0]})"
-        shift = max(widths[0] - head, 0)
-        if (shift >= widths[0] and widths[0] > 0) or shift >= 64:
-            return "0"
-        return f"{a[0]} >> {shift}" if shift else a[0]
-    if op == "not":
-        return f"~{a[0]}"
-    if op == "neg":
-        return f"(0 - {a[0]})"
-    if op == "andr":
-        full = (1 << widths[0]) - 1
-        return f"(uint64_t)({a[0]} == {hex(full)}ULL)"
-    if op == "orr":
-        return f"(uint64_t)({a[0]} != 0)"
-    if op == "xorr":
-        return f"r_pop({a[0]})"
-    if op == "mux":
-        return f"({a[0]} ? {a[1]} : {a[2]})"
-    if op == "bits":
-        # a = [value, hi, lo]; hi/lo reach codegen as inline constants.
-        shift = raw[2]
-        if shift is None:
-            return f"r_dshr({a[0]}, {a[2]}, {widths[0]})"
-        if (shift >= widths[0] and widths[0] > 0) or shift >= 64:
-            return "0"
-        return f"({a[0]} >> {shift})"
-
-    base = op.rstrip("0123456789")
-    if base == "muxchain":
-        # a = [s1, v1, s2, v2, ..., default]; build from the innermost out.
-        expression = a[-1]
-        for position in range(len(a) - 3, -1, -2):
-            expression = f"({a[position]} ? {a[position + 1]} : {expression})"
-        return expression
-    if base in ("orchain", "andchain", "xorchain"):
-        symbol = {"orchain": "|", "andchain": "&", "xorchain": "^"}[base]
-        return f" {symbol} ".join(a)
-    raise KeyError(f"no C expression template for op {op!r}")
-
-
-def _c_expr(
-    op: str,
-    a: Sequence[str],
-    raw: Sequence[Optional[int]],
-    widths: Sequence[int],
-    out_width: int,
-) -> str:
-    expr = _c_core(op, a, raw, widths, out_width)
-    if needs_mask(op):
-        if out_width <= 0:
-            return "0"
-        if out_width < 64:
-            return f"({expr}) & {hex((1 << out_width) - 1)}ULL"
-    return expr
+#: ``c_expr(op, args, widths, out_width)``: one op as a C expression over
+#: the ``args`` strings (live operands, or ``<n>ULL`` inlined constants).
+c_expr = CDialect().render
 
 
 def emit_c(program: OimProgram) -> str:
@@ -254,20 +183,14 @@ def emit_c(program: OimProgram) -> str:
         body: List[str] = []
         for n, s, operands, widths, out_width in slice_rows:
             args: List[str] = []
-            raws: List[Optional[int]] = []
             for r in operands:
                 if r in const_values:
-                    value = const_values[r]
-                    args.append(f"{value}ULL")
-                    raws.append(value)
+                    args.append(f"{const_values[r]}ULL")
                 else:
                     if r not in defined and r not in loads:
                         loads.append(r)
                     args.append(f"v{r}")
-                    raws.append(None)
-            expression = _c_expr(
-                program.op_names[n], args, raws, widths, out_width
-            )
+            expression = c_expr(program.op_names[n], args, widths, out_width)
             body.append(f"    uint64_t v{s} = {expression};")
             body.append(f"    V[(int64_t){s} * n + b] = v{s};")
             defined.add(s)
@@ -324,23 +247,23 @@ def compile_shared_object(source: str, cc: str, flags=None) -> bytes:
 class CompiledComb:
     """A loaded compiled combinational pass: ``comb(plane)`` evaluates
     every lane of a C-contiguous ``(num_slots, B)`` uint64 plane in
-    place.  Owns a private temp directory holding the ``.so`` for the
-    process lifetime (removed at exit; the mapping survives the
-    unlink)."""
+    place.  The ``.so`` only touches disk for the ``dlopen``: its temp
+    directory is gone again before the constructor returns (the mapping
+    survives the unlink), so nothing is left to clean up at exit -- or
+    to leak from a process that never runs its exit handlers."""
 
     def __init__(self, so_bytes: bytes, fingerprint: str) -> None:
         self.fingerprint = fingerprint
-        self._dir = tempfile.mkdtemp(prefix="repro-cbin-")
-        atexit.register(shutil.rmtree, self._dir, ignore_errors=True)
-        path = os.path.join(self._dir, "comb.so")
-        with open(path, "wb") as handle:
-            handle.write(so_bytes)
-        try:
-            library = ctypes.CDLL(path)
-        except OSError as error:  # e.g. noexec tmp mount
-            raise CBackendUnavailable(
-                f"cannot load compiled kernel: {error}"
-            ) from error
+        with tempfile.TemporaryDirectory(prefix="repro-cbin-") as workdir:
+            path = os.path.join(workdir, "comb.so")
+            with open(path, "wb") as handle:
+                handle.write(so_bytes)
+            try:
+                library = ctypes.CDLL(path)
+            except OSError as error:  # e.g. noexec tmp mount
+                raise CBackendUnavailable(
+                    f"cannot load compiled kernel: {error}"
+                ) from error
         self._fn = library.repro_eval_comb
         self._fn.argtypes = [ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64]
         self._fn.restype = None

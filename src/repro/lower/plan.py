@@ -1,53 +1,26 @@
 """Width classification and the blocked same-op limb plan.
 
-One program, one classification: :func:`is_narrow` and :func:`blockable`
-decide which rows fit the single-``uint64``-row evaluators and which of
-those can join a layer-blocked same-op group, and :func:`limb_plan`
-folds both into the declarative ``u64xN`` schedule.  The batched walk,
-the activity kernel, the SU codegen, and the C backend all consult these
-same predicates, so the narrow/wide split cannot drift between
-executors.
+One program, one classification: :func:`is_narrow` decides which rows
+fit the single-``uint64``-row evaluators, and :func:`limb_plan` folds it
+into the declarative ``u64xN`` schedule, grouping a layer's same-op
+narrow rows into blocks.  The batched walk, the activity kernel and the
+SU codegen all consult the same predicate, so the narrow/wide split
+cannot drift between executors.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..kernels.expr import LIMB_OP_BASES
 from .program import OimProgram, ProgramRow
 
 #: Widths at or below this fit one uint64 plane row.
 U64_MAX_WIDTH = 64
 
-#: Narrow base ops with a blocked builder in the batched walk -- the
-#: same vocabulary as the split-limb evaluators (one canonical set, so
-#: the layers cannot drift apart).
-BLOCKABLE_BASES = LIMB_OP_BASES
-
 
 def is_narrow(widths, out_width) -> bool:
     """True when an op never sees a >64-bit operand or result."""
     return out_width <= U64_MAX_WIDTH and all(w <= U64_MAX_WIDTH for w in widths)
-
-
-def blockable(name: str, widths, out_width) -> bool:
-    """True when a narrow record can join a layer-blocked group.
-
-    The blocked builders replace the per-record Python-level width
-    branches with broadcast ``(k, 1)`` width columns, so records that
-    would take those branches (zero-width shift sources, a zero-width
-    ``cat`` lhs) stay on the per-record path.
-    """
-    base = name.rstrip("0123456789")
-    if base not in BLOCKABLE_BASES:
-        return False
-    if base == "cat" and widths[1] >= U64_MAX_WIDTH:
-        return False  # zero-width lhs idiom: per-record table passes rhs through
-    if base in ("bits", "dshr", "shr", "head") and widths[0] <= 0:
-        return False
-    if base in ("dshl", "shl") and out_width <= 0:
-        return False
-    return True
 
 
 PlanStep = Tuple[str, object, List[ProgramRow]]
@@ -71,11 +44,8 @@ def limb_plan(program: OimProgram) -> List[PlanStep]:
         leftovers: List[ProgramRow] = []
         for row in layer:
             n, _s, _operands, widths, out_width = row
-            name = op_names[n]
-            if is_narrow(widths, out_width) and blockable(
-                name, widths, out_width
-            ):
-                groups.setdefault(name, []).append(row)
+            if is_narrow(widths, out_width):
+                groups.setdefault(op_names[n], []).append(row)
             else:
                 leftovers.append(row)
         for name, group in groups.items():

@@ -1,7 +1,8 @@
 """Tests for the compiled C batch backend (:mod:`repro.lower.cbackend`):
 registry-wide lockstep against the scalar reference, the ``cbin``
 warm-start path (no recompilation), graceful fallback without a
-toolchain, and the emitted source's structural invariants."""
+toolchain, the emitted source's structural invariants, and the loaded
+object leaving nothing behind in the temp directory."""
 
 import os
 import subprocess
@@ -196,3 +197,56 @@ class TestCbinWarmStart:
                 scalar.step()
         finally:
             disable_cache()
+
+
+# ----------------------------------------------------------------------
+# The loaded object leaves nothing in the temp directory
+# ----------------------------------------------------------------------
+_SHARD_CHILD = """\
+import os, sys, tempfile
+from repro.designs.registry import compiled_graph
+from repro.shard.simulator import ShardedBatchSimulator
+
+def leftovers():
+    return sorted(n for n in os.listdir(tempfile.gettempdir()) if n.startswith("repro-cbin-"))
+
+sim = ShardedBatchSimulator(
+    compiled_graph("gemmini-8"), lanes=2, num_partitions=2,
+    kernel="compiled", executor="process",
+)
+sim.step(2)
+print("KERNELS=%s" % sorted(set(sim.describe_partitions())))
+print("OPEN=%s" % leftovers())
+sim.close()
+print("CLOSED=%s" % leftovers())
+"""
+
+
+@needs_numpy
+@needs_cc
+class TestNoTempDirLeft:
+    def test_process_shard_workers_leave_no_cbin_dir(self, tmp_path):
+        """A forked shard worker never runs ``atexit`` handlers, so the
+        ``.so`` directory must be gone as soon as the object is mapped."""
+        env = dict(os.environ, PYTHONPATH=SRC_ROOT, TMPDIR=str(tmp_path))
+        child = subprocess.run(
+            [sys.executable, "-c", _SHARD_CHILD],
+            capture_output=True, text=True, env=env,
+        )
+        assert child.returncode == 0, child.stderr
+        lines = dict(line.split("=", 1) for line in child.stdout.splitlines())
+        assert "compiled" in lines["KERNELS"], lines
+        assert lines["OPEN"] == "[]" and lines["CLOSED"] == "[]", lines
+        assert not list(tmp_path.glob("repro-cbin-*"))
+
+    def test_unloadable_object_cleans_up(self, tmp_path, monkeypatch):
+        """What a ``noexec`` temp mount does: ``dlopen`` fails, the
+        backend reports itself unavailable, the directory is removed."""
+        import tempfile
+
+        from repro.lower.cbackend import CBackendUnavailable, CompiledComb
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(CBackendUnavailable, match="cannot load"):
+            CompiledComb(b"not a shared object", "fingerprint")
+        assert not list(tmp_path.iterdir())

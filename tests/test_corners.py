@@ -3,7 +3,6 @@
 import pytest
 
 from repro.firrtl import elaborate, parse
-from repro.firrtl.primops import mask
 from repro.graph import GraphSimulator, build_dfg
 from repro.sim import Simulator
 from repro.sim.waveform import _identifier
@@ -106,10 +105,6 @@ class TestWidthEdgeCases:
         simulator.poke("a", big)
         simulator.poke("b", 1)
         assert simulator.peek("x") == 0  # wraps at 64 bits
-
-    def test_mask_helper_extremes(self):
-        assert mask(-1, 64) == (1 << 64) - 1
-        assert mask(123, 0) == 0
 
     def test_zero_op_design(self):
         """A design that is pure wiring still simulates."""

@@ -9,7 +9,6 @@ from repro.graph import (
     GraphSimulator,
     build_dfg,
     eliminate_dead_code,
-    evaluate_node,
     fuse_operator_chains,
     get_semantics,
     has_semantics,
@@ -76,26 +75,10 @@ class TestOpSemantics:
         assert get_semantics("muxchain4").arity == 9
         assert get_semantics("orchain5").arity == 5
 
-    def test_muxchain_semantics(self):
-        # [s1, v1, s2, v2, default]
-        assert evaluate_node("muxchain2", [0, 10, 1, 20, 30], [1, 8, 1, 8, 8], 8) == 20
-        assert evaluate_node("muxchain2", [1, 10, 1, 20, 30], [1, 8, 1, 8, 8], 8) == 10
-        assert evaluate_node("muxchain2", [0, 10, 0, 20, 30], [1, 8, 1, 8, 8], 8) == 30
-
-    def test_param_ops_as_operands(self):
-        # bits(x, hi, lo) with params as value operands.
-        assert evaluate_node("bits", [0b110110, 4, 1], [6, 3, 1], 4) == 0b1011
-
-    def test_cat_uses_right_width(self):
-        assert evaluate_node("cat", [0b1, 0b0011], [1, 4], 5) == 0b10011
-
     def test_unknown_rejected(self):
         assert not has_semantics("bogus")
         with pytest.raises(KeyError):
             get_semantics("bogus")
-
-    def test_ident_is_copy(self):
-        assert evaluate_node("ident", [0x5A], [8], 8) == 0x5A
 
 
 class TestBuild:

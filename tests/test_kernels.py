@@ -11,8 +11,9 @@ from repro.kernels import (
     kernel_profile,
     make_kernel,
 )
-from repro.kernels.expr import cpp_expr, needs_mask, python_expr
+from repro.kernels.expr import needs_mask, python_expr
 from repro.kernels.profile import INSTR_PER_OP
+from repro.lower.cbackend import c_expr
 from repro.sim import Simulator
 
 from conftest import drive_random_inputs
@@ -78,13 +79,13 @@ class TestExprCodegen:
         assert not needs_mask("muxchain4")
 
     def test_cpp_renders(self):
-        text = cpp_expr("cat", ["a", "b"], [4, 4], 8)
+        text = c_expr("cat", ["a", "b"], [4, 4], 8)
         assert "<< 4" in text
-        text = cpp_expr("mux", ["s", "a", "b"], [1, 8, 8], 8)
+        text = c_expr("mux", ["s", "a", "b"], [1, 8, 8], 8)
         assert "?" in text
 
     def test_cpp_wide_mask_suffix(self):
-        text = cpp_expr("add", ["a", "b"], [40, 40], 41)
+        text = c_expr("add", ["a", "b"], [40, 40], 41)
         assert "ULL" in text
 
     def test_unknown_op_rejected(self):

@@ -1,8 +1,10 @@
 """Tests for the shared lowered program IR (:mod:`repro.lower`): rank
 parity with the OIM tensor formats, consumer-transpose and leaf-table
-correctness, limb-plan structure, artifact-cache round-trips, and
-cross-process fingerprint stability."""
+correctness, limb-plan structure, artifact-cache round-trips,
+cross-process fingerprint stability, and the emitted artefacts staying
+byte-identical to the ones cache keys were minted against."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -16,7 +18,6 @@ from repro.firrtl.parser import parse
 from repro.graph.build import build_dfg
 from repro.graph.optimize import optimize
 from repro.lower import (
-    blockable,
     cached_program,
     is_narrow,
     limb_plan,
@@ -134,7 +135,6 @@ class TestLimbPlan:
                 assert {program.op_names[row[0]] for row in rows} == {name}
                 for _n, _s, _operands, widths, out_width in rows:
                     assert is_narrow(widths, out_width)
-                    assert blockable(name, widths, out_width)
             else:
                 assert name is None and len(rows) == 1
                 _n, _s, _operands, widths, out_width = rows[0]
@@ -202,3 +202,53 @@ class TestCachedProgram:
             assert second.consumers == first.consumers
         finally:
             disable_cache()
+
+
+# ----------------------------------------------------------------------
+# Emitted artefacts do not move
+# ----------------------------------------------------------------------
+#: sha256 of what the commit before the one-op-table refactor emitted.
+#: ``cbin`` cache keys (``SOURCE_SCHEMA``) and cached ``sucodegen``
+#: statements stay valid only while these hold: a renderer change that
+#: moves one must bump the schema, not this table.
+PINNED = {
+    ("emit_c", "rocket-1"): "91338afae8fe800352816360644ce231659f9b1343caa3f24ee86e60b8a026ae",
+    ("emit_c", "gemmini-8"): "478573175419b120333fbb511fce021c3b172da200320ae854b48e43ab892d8c",
+    ("emit_c", "gemmini-16"): "c24d74c204ea42c65e7e9a67f888f8ef10c92c177d857e33381c8a2aa29967af",
+    ("sucodegen", "rocket-1"): "b0f1284ccfbd7fea6eb6684b3a4c3792ffdb121ae892bbcd7fce5e2e9dc6be68",
+    ("sucodegen", "sha3"): "cde5b9960378f5231bf139fcf84ee82baf7f4376da7f45f8b527096bf932ab3b",
+    ("python_expr", "rocket-1"): "fd71a84d4a030bc4d73d174e4fcf14806a0cbe80bb0f22ddd45acc6e7ef8231b",
+    ("python_expr", "sha3"): "f0313f32bbebe1262f62ef84c7d9a2a3400dcc63c192f28fb4e7e1d189cb8d23",
+}
+
+
+def _emitted(kind: str, design: str) -> str:
+    bundle = compile_named_design(design)
+    program = cached_program(bundle)
+    if kind == "emit_c":
+        from repro.lower.cbackend import emit_c
+
+        return emit_c(program)
+    if kind == "sucodegen":
+        from repro.batch.backend import limb_layout, supports_u64
+        from repro.batch.kernels import _codegen_statements
+
+        layout = None if supports_u64(bundle) else limb_layout(bundle)
+        return "\n".join(_codegen_statements(bundle, layout))
+    from repro.kernels.expr import python_expr
+
+    consts = program.const_values()
+    return "\n".join(
+        python_expr(
+            program.op_names[n],
+            [str(consts[r]) if r in consts else f"V[{r}]" for r in operands],
+            widths, out_width,
+        )
+        for n, _s, operands, widths, out_width in program.records()
+    )
+
+
+@pytest.mark.parametrize("kind,design", sorted(PINNED))
+def test_emitted_artefacts_are_pinned(kind, design):
+    digest = hashlib.sha256(_emitted(kind, design).encode()).hexdigest()
+    assert digest == PINNED[kind, design]
