@@ -50,10 +50,6 @@ TINY_KERNELS = ("PSU",)
 TINY_LANES = (1, 8)
 TINY_CYCLES = 16
 
-#: Wide designs also record an ``object``-backend comparison arm at the
-#: largest B, so BENCH_batch.json documents the split-limb speedup.
-WIDE_COMPARE_DESIGNS = ("sha3",)
-
 
 def _render(rows) -> str:
     return render_rows(
@@ -117,9 +113,6 @@ def main(argv=None) -> int:
     parser.add_argument("--cycles", type=int, default=None)
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write rows + metadata as JSON")
-    parser.add_argument("--no-wide-compare", action="store_true",
-                        help="skip the object-backend comparison rows for "
-                             "wide designs (full sweeps only)")
     args = parser.parse_args(argv)
 
     designs = tuple(args.designs or (TINY_DESIGNS if args.tiny else DESIGNS))
@@ -146,14 +139,6 @@ def main(argv=None) -> int:
             )
     elif HAS_NUMPY:
         print("(no C toolchain found: compiled-backend rows skipped)")
-    wide_compare = [d for d in designs if d in WIDE_COMPARE_DESIGNS]
-    if wide_compare and HAS_NUMPY and not args.tiny and not args.no_wide_compare:
-        # The object reference arm at the largest B: BENCH_batch.json then
-        # records the u64xN-vs-object ratio the wide fast path buys.
-        rows += throughput_rows(
-            tuple(wide_compare), kernels, (max(lanes),), cycles,
-            backends=("object",),
-        )
     print(_render(rows))
     if not HAS_NUMPY:
         print("\n(NumPy not installed: pure-Python lane fallback measured)")

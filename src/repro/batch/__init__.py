@@ -39,16 +39,16 @@ fiber with per-lane activity masks and lane compaction
 (:class:`repro.batch.kernels.BatchActivityKernel`): sparsely-active
 batches gather their active lanes into a dense B' < B sub-plane, and
 quiescent cycles skip the OIM pass entirely.
-Storage (:mod:`repro.batch.backend`) is a batched value plane: ``u64``
-NumPy ``(num_slots, B)`` arrays when every slot fits 64 bits, the
-split-limb ``u64xN`` plane (``ceil(width/64)`` uint64 limb rows per
-slot, carry-propagating limb kernels) for wider designs, ``object``
-arrays of Python ints as the arbitrary-width reference, and a
+Storage (:mod:`repro.batch.backend`) is a batched value plane: one
+NumPy uint64 plane of ``ceil(width/64)`` limb rows per slot (reported
+as ``u64`` when every slot fits 64 bits -- the plane is then
+``(num_slots, B)`` -- and as ``u64xN`` when some slot needs more, with
+carry-propagating limb kernels for exactly the wide operations), and a
 pure-Python list-of-lists fallback when NumPy is absent -- NumPy is
 strictly optional (the ``[batch]`` extra) and this package always
 imports cleanly without it.  ``auto`` resolves to ``u64``/``u64xN``
-with NumPy and ``python`` without; >64-bit designs such as sha3 stay on
-the vectorised fast path instead of silently degrading to object rows.
+with NumPy and ``python`` without, so >64-bit designs such as sha3 stay
+on the vectorised plane.
 
 All paths are bit-exact with B independent scalar ``Simulator`` runs,
 including multi-clock ``step_domain``, ``reset`` and checkpointing;

@@ -2,21 +2,21 @@
 
 The batched simulator widens the paper's value tensor ``V`` (the
 identity-elided ``LI``/``LO``: one persistent slot per value) by a lane
-rank ``B``.  Four backends realise the plane:
+rank ``B``.  Two planes realise it, under three backend names:
 
-* ``u64``    -- a ``(num_slots, B)`` NumPy ``uint64`` array; the fast
-  path, valid whenever every slot width fits 64 bits (wrap-around modulo
-  2**64 followed by the slot-width mask is bit-exact for add/sub/mul, and
-  shifts are guarded);
-* ``u64xN``  -- the split-limb fast path for wide designs: each slot
-  stores ``ceil(width/64)`` little-endian uint64 *limb rows* in a flat
-  ``(total_limb_rows, B)`` plane (see :class:`LimbLayout`).  Arithmetic
-  carries propagate across limbs and shifts/cat/bits cross limb
-  boundaries (:func:`repro.batch.vecsem.limb_target`), so a single
-  65-bit slot no longer degrades the whole design to object rows;
-* ``object`` -- a NumPy ``object`` array of Python ints; still vectorised
-  at the ufunc level, bit-exact at any width but an order of magnitude
-  slower than native-width storage;
+* the NumPy plane -- each slot stores ``ceil(width/64)`` little-endian
+  uint64 *limb rows* in a flat ``(total_limb_rows, B)`` array (see
+  :class:`LimbLayout`).  An operation whose operands and result all fit
+  64 bits runs on single rows (wrap-around modulo 2**64 followed by the
+  slot-width mask is bit-exact for add/sub/mul, and shifts are guarded);
+  a wider one propagates carries across limbs and moves bits across limb
+  boundaries (:func:`repro.batch.vecsem.limb_target`).  The backend name
+  says what shape the plane has, not which code runs: ``u64`` is the
+  one-limb case -- every slot fits 64 bits, so the layout is the
+  identity and the plane is ``(num_slots, B)``, which is what the
+  compiled C kernel and the shared-memory exchange planes address --
+  and ``u64xN`` is a plane with at least one multi-limb slot (or any
+  plane, on request);
 * ``python`` -- plain list-of-lists, used when NumPy is absent so the
   subsystem never breaks in an offline environment.
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence
 
 from ..graph.opsem import NATIVE, RELATIONS, Target
@@ -39,7 +40,7 @@ U64_MAX_WIDTH = 64
 LIMB_BITS = 64
 LIMB_MASK = (1 << LIMB_BITS) - 1
 
-BACKENDS = ("u64", "u64xN", "object", "python")
+BACKENDS = ("u64", "u64xN", "python")
 
 _UNSET = object()
 
@@ -68,11 +69,9 @@ def pick_backend(
 ) -> str:
     """Resolve a backend request against NumPy availability and slot widths.
 
-    ``auto`` prefers ``u64``, takes the split-limb ``u64xN`` fast path for
-    designs with >64-bit slots, and degrades to ``python`` when NumPy is
-    missing.  ``object`` is never chosen automatically any more -- it
-    remains available on request (arbitrary-width reference / benchmark
-    comparison arm).  Explicitly requesting ``u64`` on a too-wide design
+    ``auto`` reports ``u64`` for a design whose slots all fit 64 bits,
+    ``u64xN`` for one with wider slots, and degrades to ``python`` when
+    NumPy is missing.  Explicitly requesting ``u64`` on a too-wide design
     or a NumPy backend without NumPy raises, so tests and benchmarks never
     silently measure the wrong engine.
     """
@@ -112,7 +111,7 @@ def limbs_for_width(width: int) -> int:
 
 @dataclass
 class LimbLayout:
-    """Slot -> limb-row mapping of the ``u64xN`` plane.
+    """Slot -> limb-row mapping of the NumPy plane.
 
     Slot ``s`` occupies rows ``offsets[s] .. offsets[s] + limbs[s]`` of
     the flat ``(total_rows, B)`` plane, little-endian (row ``offsets[s]``
@@ -124,20 +123,21 @@ class LimbLayout:
     slices: List[slice]
     total_rows: int
 
-    def slot_slice(self, slot: int) -> slice:
-        return self.slices[slot]
+    def rows_of(self, slots: Sequence[int]) -> List[int]:
+        """The plane rows of ``slots``, limb by limb, in slot order."""
+        return [
+            row
+            for slot in slots
+            for row in range(self.offsets[slot], self.offsets[slot] + self.limbs[slot])
+        ]
 
 
 def limb_layout(bundle: OimBundle) -> LimbLayout:
     """Compute the split-limb row layout for a design."""
     limbs = [limbs_for_width(width) for width in bundle.slot_width]
-    offsets: List[int] = []
-    slices: List[slice] = []
-    total = 0
-    for count in limbs:
-        offsets.append(total)
-        slices.append(slice(total, total + count))
-        total += count
+    offsets = list(accumulate(limbs, initial=0))
+    total = offsets.pop()
+    slices = [slice(start, start + count) for start, count in zip(offsets, limbs)]
     return LimbLayout(limbs=limbs, offsets=offsets, slices=slices, total_rows=total)
 
 
@@ -169,26 +169,13 @@ def alloc_values(
     if backend == "python":
         return [[value] * lanes for value in initial]
     np = _NUMPY
-    if backend == "u64":
-        plane = np.zeros((bundle.num_slots, lanes), dtype=np.uint64)
-        for slot, value in enumerate(initial):
-            if value:
-                plane[slot] = value
-        return plane
-    if backend == "u64xN":
-        layout = layout or limb_layout(bundle)
-        plane = np.zeros((layout.total_rows, lanes), dtype=np.uint64)
-        for slot, value in enumerate(initial):
-            if value:
-                offset = layout.offsets[slot]
-                for i, limb in enumerate(split_limbs(value, layout.limbs[slot])):
-                    plane[offset + i] = limb
-        return plane
-    plane = np.empty((bundle.num_slots, lanes), dtype=object)
-    plane[...] = 0
+    layout = layout or limb_layout(bundle)
+    plane = np.zeros((layout.total_rows, lanes), dtype=np.uint64)
     for slot, value in enumerate(initial):
         if value:
-            plane[slot] = value
+            offset = layout.offsets[slot]
+            for i, limb in enumerate(split_limbs(value, layout.limbs[slot])):
+                plane[offset + i] = limb
     return plane
 
 
@@ -201,27 +188,20 @@ def copy_values(values, backend: str):
 
 def plane_rows(bundle: OimBundle, backend: str, layout: Optional[LimbLayout] = None) -> int:
     """Expected first-axis length of the value plane for ``backend``."""
-    if backend == "u64xN":
-        return (layout or limb_layout(bundle)).total_rows
-    return bundle.num_slots
-
-
-def row_to_ints(row) -> List[int]:
-    """One plane row's lane vector as plain Python ints."""
-    return [int(value) for value in row]
+    if backend == "python":
+        return bundle.num_slots
+    return (layout or limb_layout(bundle)).total_rows
 
 
 def read_slot(
     values, slot: int, backend: str, layout: Optional[LimbLayout] = None
 ) -> List[int]:
     """One slot's lane vector as plain Python ints (limb-combining)."""
-    if backend != "u64xN":
+    if backend == "python":
         return [int(value) for value in values[slot]]
-    rows = values[layout.slices[slot]]
-    if len(rows) == 1:
-        return [int(value) for value in rows[0]]
-    lanes = rows.shape[1]
-    return [combine_limbs(rows[:, lane]) for lane in range(lanes)]
+    if layout.limbs[slot] == 1:
+        return values[layout.offsets[slot]].tolist()
+    return [combine_limbs(lane) for lane in values[layout.slices[slot]].T.tolist()]
 
 
 def write_slot(
@@ -231,36 +211,29 @@ def write_slot(
     backend: str,
     layout: Optional[LimbLayout] = None,
 ) -> None:
-    """Overwrite one slot's lane vector (limb-splitting on ``u64xN``)."""
+    """Overwrite one slot's lane vector (limb-splitting on the NumPy plane)."""
     if backend == "python":
         values[slot][:] = lane_values
-    elif backend == "u64xN":
-        offset = layout.offsets[slot]
-        count = layout.limbs[slot]
-        if count == 1:
-            values[offset] = lane_values
-        else:
-            per_lane = (split_limbs(value, count) for value in lane_values)
-            for i, limb_row in enumerate(zip(*per_lane)):
-                values[offset + i] = limb_row
+        return
+    offset = layout.offsets[slot]
+    count = layout.limbs[slot]
+    if count == 1:
+        values[offset] = lane_values
     else:
-        values[slot] = lane_values
+        per_lane = (split_limbs(value, count) for value in lane_values)
+        for i, limb_row in enumerate(zip(*per_lane)):
+            values[offset + i] = limb_row
 
 
 # ----------------------------------------------------------------------
 # The NumPy single-row target (shared by the walk and codegen kernels)
 # ----------------------------------------------------------------------
-def popcount_parity(np, object_mode: bool = False):
-    """A bit-exact lane-wise popcount-parity function (``xorr``).
-
-    On the native uint64 paths this prefers ``np.bitwise_count`` and
-    otherwise XOR-folds the 64-bit word (shared by the ``u64`` and
-    ``u64xN`` backends -- the old fallback went through a per-element
-    Python ufunc that returned *object* rows mid-pipeline).  The object
-    path keeps the unbounded-int ufunc, which is exact at any width.
+def popcount_parity(np):
+    """A bit-exact lane-wise popcount-parity function (``xorr``) over
+    uint64 rows: ``np.bitwise_count`` where NumPy has it, otherwise an
+    XOR-fold of the 64-bit word (the old fallback went through a
+    per-element Python ufunc that returned *object* rows mid-pipeline).
     """
-    if object_mode:
-        return np.frompyfunc(lambda v: bin(int(v)).count("1") & 1, 1, 1)
     if hasattr(np, "bitwise_count"):
         def _pop(a):
             return np.bitwise_count(a).astype(np.uint64) & np.uint64(1)
@@ -275,11 +248,10 @@ def popcount_parity(np, object_mode: bool = False):
     return _pop
 
 
-def numpy_target(np, object_mode: bool = False) -> Target:
+def numpy_target(np) -> Target:
     """The single-row NumPy target of the op table (:mod:`repro.graph.opsem`).
 
-    Values are ``uint64`` lane vectors -- or, in ``object_mode``, object
-    arrays of Python ints, bit-exact at any width.  Every primitive is
+    Values are ``uint64`` lane vectors.  Every primitive is
     branch-free in its width arguments, so the same functions evaluate
     one ``(B,)`` row with Python-int widths and a layer-blocked ``(k, B)``
     group with ``(k, 1)`` width columns.  The guards live here
@@ -288,67 +260,46 @@ def numpy_target(np, object_mode: bool = False) -> Target:
     (``>= 64``) is reachable.  (``cat`` needs no guard: it shifts by a
     whole word only when its lhs is zero-width, hence zero.)
     """
-    if object_mode:
-        dtype = object
+    def clip(s):
+        return np.minimum(s, 63)  # in-width lanes shift by < 64 anyway
 
-        def clip(s, in_width):
-            return np.where(in_width, s, 0)  # never build a 2**s-bit int
-
-        def mask_of(width):
-            return (1 << width) - 1
-
-        # bool ndarray -> object ndarray of Python ints (0/1), so that
-        # downstream unbounded arithmetic never sees numpy scalars.
-        compare = {
-            rel: (lambda x, y, holds=holds: holds(x, y).astype(object) * 1)
-            for rel, holds in RELATIONS.items()
-        }
-    else:
-        dtype = np.uint64
-
-        def clip(s, in_width):
-            return np.minimum(s, 63)  # in-width lanes shift by < 64 anyway
-
-        # Indexable by a Python int and by a (k, 1) width column alike.
-        mask_of = np.array(
-            [(1 << width) - 1 for width in range(U64_MAX_WIDTH + 1)], dtype=dtype
-        ).__getitem__
-        compare = RELATIONS  # storage rows cast bool -> uint64
+    # Indexable by a Python int and by a (k, 1) width column alike.
+    mask_of = np.array(
+        [(1 << width) - 1 for width in range(U64_MAX_WIDTH + 1)], dtype=np.uint64
+    ).__getitem__
 
     def guarded(divide):
         def primitive(x, y, *_widths):
             # Generated code inlines a constant divisor as a Python int,
             # which would otherwise drag the quotient to float64.
-            y = np.asarray(y, dtype)
+            y = np.asarray(y, np.uint64)
             nonzero = y != 0
             return np.where(nonzero, divide(x, np.where(nonzero, y, 1)), 0)
 
         return primitive
 
     def shl(x, s, ow):
-        in_width = s < ow
-        return np.where(in_width, x << clip(s, in_width), 0)
+        return np.where(s < ow, x << clip(s), 0)
 
     def shr(x, s, w, *_ow):
-        in_width = s < w
-        return np.where(in_width, x >> clip(s, in_width), 0)
+        return np.where(s < w, x >> clip(s), 0)
 
     def head(x, n, w, *_ow):
         return shr(x, w - np.minimum(n, w), w)
 
-    not_equal, equal = compare["!="], compare["=="]
+    not_equal, equal = RELATIONS["!="], RELATIONS["=="]
     return Target(
         **NATIVE,
         div=guarded(operator.floordiv),
         rem=guarded(operator.mod),
-        compare=compare,
+        compare=RELATIONS,  # storage rows cast bool -> uint64
         shl=shl,
         shr=shr,
         head=head,
         select=np.where,
         truth=lambda x: not_equal(x, 0),
         all_ones=lambda x, w: equal(x, mask_of(w)),
-        parity=popcount_parity(np, object_mode),
+        parity=popcount_parity(np),
         fit=lambda x, ow: x & mask_of(ow),
     )
 

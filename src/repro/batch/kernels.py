@@ -3,36 +3,35 @@
 Two kernels are lowered from the existing :class:`OimBundle`, mirroring
 the scalar spectrum of Section 5.2 with the lane rank vectorised away:
 
-* :class:`BatchWalkKernel` -- a vectorised RU/OU-style map/reduce walk.
-  It traverses the *optimized*-format OIM arrays (Figure 12b) exactly as
-  the scalar ``RUKernel`` does, but every operand fetch pulls a lane
-  vector and every compute operator applies across all B lanes at once
-  (the op table bound to a NumPy target, :mod:`repro.batch.vecsem`).
-  Serves the uint64 fast path, the split-limb ``u64xN`` fast path, and
-  the arbitrary-width object path.  On ``u64xN`` the schedule is
-  *mixed*: operations whose operand and result widths all fit 64 bits
-  run the single-row evaluators over their (single) limb rows -- same-op
-  records of a layer gathered into one ``(k, B)`` call of the very same
-  evaluator -- and only genuinely wide operations take the
-  carry-propagating limb evaluators, so a design with a handful of
-  65-bit slots pays limb arithmetic for exactly those slots.
+* :class:`BatchWalkKernel` -- a vectorised RU/OU-style map/reduce walk
+  over the NumPy plane (:mod:`repro.batch.backend`).  It traverses the
+  shared program's dependence layers as the scalar ``RUKernel`` does,
+  but every operand fetch pulls lane vectors and every compute operator
+  applies across all B lanes at once (the op table bound to a NumPy
+  target, :mod:`repro.batch.vecsem`) -- and across the S rank too:
+  same-op records of a layer whose operand and result widths all fit 64
+  bits are gathered into one ``(k, B)`` call of the single-row
+  evaluator.  Only genuinely wide operations take the carry-propagating
+  limb evaluators, so a design with a handful of 65-bit slots pays limb
+  arithmetic for exactly those slots, and a design with none (the
+  ``u64`` plane: one limb per slot) pays none.
 * :class:`BatchCodegenKernel` -- a straight-line SU/TI-style variant:
   the OIM is fully embedded in generated Python whose expressions are
   NumPy lane-vector operations (:func:`repro.kernels.expr.numpy_expr`).
-  On ``u64xN`` planes the generated statements are limb-aware: narrow
-  operations address single limb rows, wide ones assign limb-row slices
-  from :func:`repro.kernels.expr.numpy_limb_expr` calls.
+  Narrow operations address single limb rows, wide ones assign limb-row
+  slices from :func:`repro.kernels.expr.numpy_limb_expr` calls.
 
 :class:`BatchPyKernel` is the pure-Python list-of-lists fallback used
-when NumPy is absent: the same schedule, evaluated lane by lane with the
-scalar semantics, so the subsystem is always importable and bit-exact.
+when NumPy is absent: the per-record walk, evaluated lane by lane with
+the scalar semantics, so the subsystem is always importable and
+bit-exact.
 
 :class:`CompiledBatchKernel` (``kernel="compiled"``) swaps the NumPy
 pass for the compiled C translation unit of
 :mod:`repro.lower.cbackend`, built from the same shared
 :class:`~repro.lower.program.OimProgram` as every kernel above --
-falling back to the SU codegen kernel when no toolchain (or no native
-uint64 plane) is available.
+falling back to the walk kernel when no toolchain (or no one-limb
+``u64`` plane) is available.
 
 No kernel here knows what an op means: every evaluator and every
 generated expression is the one op table (:mod:`repro.graph.opsem`)
@@ -42,11 +41,11 @@ bound to this backend's target or spelled in its dialect.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..kernels.config import KernelConfig, get_kernel_config
 from ..kernels.expr import numpy_expr, numpy_limb_expr
-from ..kernels.fiberwalk import PendingLayers, cached_fiber_walk, cached_walk_layer_rows
+from ..kernels.fiberwalk import PendingLayers
 from ..kernels.pykernels import CODEGEN_CHUNK
 from ..lower.cbackend import CBackendUnavailable, compiled_comb
 from ..lower.plan import is_narrow as _is_narrow
@@ -95,24 +94,21 @@ class BatchKernel:
         return f"{self.config.name}x{self.lanes}[{self.backend}]"
 
 
-def _record_binder(bundle: OimBundle, backend: str, layout=None) -> Callable:
+def _record_binder(bundle: OimBundle, layout=None) -> Callable:
     """How a walk row ``(n, s, operands, widths, ow)`` becomes the record
-    ``(fn, out address, operand addresses, widths, ow)`` on one backend's
-    plane.
+    ``(fn, out address, operand addresses, widths, ow)`` on one plane.
 
-    The single-row planes address slots.  On ``u64xN`` (``layout`` is
-    that plane's :func:`limb_layout`) a narrow row runs the ``u64``
-    evaluators over limb-row offsets and a wide row the limb evaluators
-    over limb-row slices.
+    With no ``layout`` the plane is the list-of-lists one: scalar
+    semantics over slots.  On the NumPy plane (``layout`` is its
+    :func:`limb_layout`) a narrow row runs the single-row evaluators over
+    limb-row offsets and a wide row the limb evaluators over limb-row
+    slices.
     """
     entry_of = bundle.op_table.entry
-    if backend == "python":
+    if layout is None:
         return lambda n, s, rs, ws, ow: (entry_of(n).semantics, s, rs, ws, ow)
     np = numpy_or_none()
-    if backend != "u64xN":
-        table = make_vec_table(np, "object" if backend == "object" else "u64")
-        return lambda n, s, rs, ws, ow: (table[entry_of(n).name], s, rs, ws, ow)
-    narrow, wide = make_vec_table(np, "u64"), make_limb_table(np)
+    narrow, wide = make_vec_table(np), make_limb_table(np)
 
     def bind(n, s, rs, ws, ow):
         table, where = (
@@ -123,14 +119,8 @@ def _record_binder(bundle: OimBundle, backend: str, layout=None) -> Callable:
     return bind
 
 
-def _walk_schedule(bundle: OimBundle, backend: str):
-    """The flattened walk: ``(fn, s, operands, widths, ow)`` per record."""
-    bind = _record_binder(bundle, backend)
-    return [bind(*row) for layer in cached_walk_layer_rows(bundle) for row in layer]
-
-
 # ----------------------------------------------------------------------
-# Layer-blocked narrow groups (the u64xN walk)
+# Layer-blocked narrow groups
 # ----------------------------------------------------------------------
 def _blocked_step(np, fn: Callable, group: List, offsets) -> Callable:
     """One evaluation of ``fn`` for ``k`` same-op narrow records of one
@@ -163,7 +153,7 @@ def _blocked_step(np, fn: Callable, group: List, offsets) -> Callable:
 
 
 class BatchWalkKernel(BatchKernel):
-    """Vectorised RU-style map/reduce walk over the optimized OIM format."""
+    """Vectorised RU-style map/reduce walk over the NumPy plane."""
 
     style = WALK
 
@@ -171,16 +161,12 @@ class BatchWalkKernel(BatchKernel):
         self, bundle: OimBundle, config: KernelConfig, lanes: int, backend: str
     ) -> None:
         super().__init__(bundle, config, lanes, backend)
-        if backend == "u64xN":
-            self._schedule = None
-            self._steps = self._limb_steps(bundle)
-        else:
-            self._schedule = _walk_schedule(bundle, backend)
-            self._steps = None
+        self.layout = limb_layout(bundle)
+        self._steps = self._limb_steps(bundle, self.layout)
 
     @staticmethod
-    def _limb_steps(bundle: OimBundle) -> List[Callable]:
-        """The mixed split-limb schedule over the flat limb-row plane.
+    def _limb_steps(bundle: OimBundle, layout) -> List[Callable]:
+        """The layer-blocked schedule over the flat limb-row plane.
 
         Per layer, in execution order: narrow records group per (layer,
         op) into one gathered ``(k, B)`` evaluation
@@ -193,9 +179,8 @@ class BatchWalkKernel(BatchKernel):
         and only the closures are per-process.
         """
         np = numpy_or_none()
-        layout = limb_layout(bundle)
         offsets = np.array(layout.offsets, dtype=np.intp)
-        bind = _record_binder(bundle, "u64xN", layout)
+        bind = _record_binder(bundle, layout)
 
         def record_step(fn, s, operands, widths, out_width):
             def step(V):
@@ -212,16 +197,13 @@ class BatchWalkKernel(BatchKernel):
         return steps
 
     def eval_comb(self, values) -> None:
-        if self._steps is not None:
-            for step in self._steps:
-                step(values)
-            return
-        for fn, s, operands, widths, out_width in self._schedule:
-            values[s] = fn([values[r] for r in operands], widths, out_width)
+        for step in self._steps:
+            step(values)
 
 
 class BatchPyKernel(BatchKernel):
-    """Pure-Python fallback: same walk, scalar semantics lane by lane."""
+    """Pure-Python fallback: the per-record walk, scalar semantics lane
+    by lane."""
 
     style = PYTHON
 
@@ -229,7 +211,8 @@ class BatchPyKernel(BatchKernel):
         self, bundle: OimBundle, config: KernelConfig, lanes: int, backend: str
     ) -> None:
         super().__init__(bundle, config, lanes, backend)
-        self._schedule = _walk_schedule(bundle, backend)
+        bind = _record_binder(bundle)
+        self._schedule = [bind(*row) for row in cached_program(bundle).records()]
 
     def eval_comb(self, values) -> None:
         lanes = range(self.lanes)
@@ -245,11 +228,11 @@ class BatchActivityKernel(BatchKernel):
     """Box 1's activity cascade, batched: fiber-driven walk + lane
     compaction.
 
-    Shares the scalar activity kernel's
-    :class:`~repro.kernels.fiberwalk.FiberWalkSchedule`: the per-cycle
-    leaf diff (inputs + register state, compared block-wise across all
-    lanes) seeds a toggled-slot fiber, and only the records downstream of
-    it re-evaluate.  On top of that, the *lane* rank is sparsified too:
+    Walks the same shared :class:`~repro.lower.program.OimProgram` as
+    the scalar activity kernel: the per-cycle leaf diff (inputs +
+    register state, compared block-wise across all lanes) seeds a
+    toggled-slot fiber, and only the records downstream of it
+    re-evaluate.  On top of that, the *lane* rank is sparsified too:
     lanes whose leaves are all unchanged already hold their settled
     values, so the walk gathers the active lanes into a dense sub-plane
     of B' < B columns, runs at effective batch B', and scatters back --
@@ -271,20 +254,30 @@ class BatchActivityKernel(BatchKernel):
         from ..kernels.activity import ActivityStats
 
         self.stats = ActivityStats()
-        self.schedule = cached_fiber_walk(bundle)
-        inner_cls = BatchPyKernel if backend == "python" else BatchWalkKernel
-        self._inner = inner_cls(bundle, config, lanes, backend)
-        self._np = None if backend == "python" else numpy_or_none()
-        self.layout = limb_layout(bundle) if backend == "u64xN" else None
+        self.program = cached_program(bundle)
+        leaves = self.program.leaf_slots
+        if backend == "python":
+            self._inner = BatchPyKernel(bundle, config, lanes, backend)
+            self._np = self.layout = None
+            self._leaf_rows = leaves
+        else:
+            self._inner = BatchWalkKernel(bundle, config, lanes, backend)
+            self._np = np = numpy_or_none()
+            self.layout = self._inner.layout
+            #: Plane rows holding the leaves, and each row's source slot
+            #: (a wide leaf spans several limb rows).
+            self._leaf_rows = np.array(self.layout.rows_of(leaves), dtype=np.intp)
+            self._leaf_row_slot = tuple(
+                slot for slot in leaves for _ in range(self.layout.limbs[slot])
+            )
         #: Per-layer ``(fn, s_addr, operand_addrs, widths, ow, slot)``
-        #: evaluators; ``slot`` is the schedule-space coordinate used for
+        #: evaluators; ``slot`` is the program-space coordinate used for
         #: consumer marking.
-        bind = _record_binder(bundle, backend, self.layout)
+        bind = _record_binder(bundle, self.layout)
         self._record_fns = [
             [(*bind(*row), row[1]) for row in layer]
-            for layer in self.schedule.layers
+            for layer in self.program.layers
         ]
-        self._leaf_rows, self._leaf_row_slot = self._leaf_addressing()
         #: Leaf block from the last pass (None = cold: full walk next).
         self._last = None
 
@@ -303,22 +296,6 @@ class BatchActivityKernel(BatchKernel):
         self.stats = ActivityStats()
 
     # ------------------------------------------------------------------
-    def _leaf_addressing(self):
-        """Plane rows holding the leaves, plus each row's source slot
-        (on ``u64xN`` a wide leaf spans several limb rows)."""
-        leaves = self.schedule.leaf_slots
-        if self.backend == "u64xN":
-            rows, slots = [], []
-            for slot in leaves:
-                offset = self.layout.offsets[slot]
-                for row in range(offset, offset + self.layout.limbs[slot]):
-                    rows.append(row)
-                    slots.append(slot)
-            return self._np.array(rows, dtype=self._np.intp), tuple(slots)
-        if self.backend == "python":
-            return list(leaves), tuple(leaves)
-        return self._np.array(leaves, dtype=self._np.intp), tuple(leaves)
-
     def _leaf_block(self, values):
         if self.backend == "python":
             return [list(values[slot]) for slot in self._leaf_rows]
@@ -330,8 +307,8 @@ class BatchActivityKernel(BatchKernel):
         if self._last is None:
             # Cold pass: unsettled intermediates, run the dense walk.
             self._inner.eval_comb(values)
-            self.stats.layers_evaluated += self.schedule.num_layers
-            self.stats.ops_evaluated += self.schedule.num_records
+            self.stats.layers_evaluated += self.program.num_layers
+            self.stats.ops_evaluated += self.program.num_records
             self.stats.lanes_active += self.lanes
             self._last = self._leaf_block(values)
             return
@@ -342,14 +319,14 @@ class BatchActivityKernel(BatchKernel):
 
     def _eval_numpy(self, values) -> None:
         np = self._np
-        schedule = self.schedule
+        program = self.program
         current = values[self._leaf_rows]
         diff = current != self._last
         lane_mask = diff.any(axis=0)
         active = np.flatnonzero(lane_mask)
         if active.size == 0:
-            self.stats.layers_skipped += schedule.num_layers
-            self.stats.ops_skipped += schedule.num_records
+            self.stats.layers_skipped += program.num_layers
+            self.stats.ops_skipped += program.num_records
             self.stats.lanes_skipped += self.lanes
             return
         self.stats.lanes_active += int(active.size)
@@ -363,7 +340,7 @@ class BatchActivityKernel(BatchKernel):
         compact = int(active.size) < self.lanes
         plane = values[:, active] if compact else values
 
-        pending = PendingLayers(schedule.num_layers, schedule.consumers)
+        pending = PendingLayers(program.num_layers, program.consumers)
         for slot in changed_slots:
             pending.mark(slot)
         for layer_index, layer in enumerate(self._record_fns):
@@ -387,7 +364,7 @@ class BatchActivityKernel(BatchKernel):
         self._last = self._leaf_block(values)
 
     def _eval_python(self, values) -> None:
-        schedule = self.schedule
+        program = self.program
         last = self._last
         lanes = self.lanes
         changed_slots = set()
@@ -401,8 +378,8 @@ class BatchActivityKernel(BatchKernel):
                 if row[lane] != prev[lane]:
                     lane_active[lane] = True
         if not changed_slots:
-            self.stats.layers_skipped += schedule.num_layers
-            self.stats.ops_skipped += schedule.num_records
+            self.stats.layers_skipped += program.num_layers
+            self.stats.ops_skipped += program.num_records
             self.stats.lanes_skipped += lanes
             return
         # Compaction without NumPy: the walk loops over active lanes only.
@@ -410,7 +387,7 @@ class BatchActivityKernel(BatchKernel):
         self.stats.lanes_active += len(active)
         self.stats.lanes_skipped += lanes - len(active)
 
-        pending = PendingLayers(schedule.num_layers, schedule.consumers)
+        pending = PendingLayers(program.num_layers, program.consumers)
         for slot in changed_slots:
             pending.mark(slot)
         for layer_index, layer in enumerate(self._record_fns):
@@ -438,7 +415,7 @@ class BatchActivityKernel(BatchKernel):
 
 
 class BatchCodegenKernel(BatchKernel):
-    """Straight-line SU-style code over lane vectors (native-width planes).
+    """Straight-line SU-style code over lane vectors (the NumPy plane).
 
     Every operation becomes one generated statement ``V[s] = <numpy
     expression>``; like the scalar SU kernel the OIM is fully embedded in
@@ -446,10 +423,9 @@ class BatchCodegenKernel(BatchKernel):
     Python-level branching.  Bool comparison results are normalised by
     the uint64 row assignment itself.
 
-    On a ``u64xN`` plane the generated code is limb-aware: narrow
-    statements index single limb rows (``V[17] = ...``) with constants
-    inlined exactly as on ``u64``, while wide statements assign limb-row
-    slices from split-limb evaluator calls
+    The generated code is limb-aware: narrow statements index single
+    limb rows (``V[17] = ...``) with constants inlined, while wide
+    statements assign limb-row slices from split-limb evaluator calls
     (``V[40:42] = _limb_mul((V[12:13], V[38:39]), (64, 1), 65)``); wide
     constant operands are read from their preloaded limb rows.
     """
@@ -459,22 +435,15 @@ class BatchCodegenKernel(BatchKernel):
     def __init__(
         self, bundle: OimBundle, config: KernelConfig, lanes: int, backend: str
     ) -> None:
-        if backend not in ("u64", "u64xN"):
+        if backend == "python":
             raise ValueError(
-                "the batched codegen kernel needs a native uint64 plane "
+                "the batched codegen kernel needs the NumPy plane "
                 f"('u64' or 'u64xN'); got {backend!r}"
             )
         super().__init__(bundle, config, lanes, backend)
-        layout = limb_layout(bundle) if backend == "u64xN" else None
-        statements = _cached_codegen_statements(bundle, layout, backend)
-        extra = None
-        if layout is not None:
-            np = numpy_or_none()
-            extra = {
-                f"_limb_{name}": fn
-                for name, fn in make_limb_table(np).items()
-            }
-        self._functions = _compile_batch_chunks(statements, extra)
+        self._functions = _compile_batch_chunks(
+            _cached_codegen_statements(bundle, limb_layout(bundle), backend)
+        )
 
     def eval_comb(self, values) -> None:
         for function in self._functions:
@@ -486,26 +455,21 @@ def _codegen_statements(bundle: OimBundle, layout) -> List[str]:
     program = cached_program(bundle)
     const_values = program.const_values()
     op_names = program.op_names
+    offsets, slices = layout.offsets, layout.slices
     statements: List[str] = []
     for n, s, operands, widths, out_width in program.records():
-        if layout is None or _is_narrow(widths, out_width):
+        if _is_narrow(widths, out_width):
             args = [
-                str(const_values[r]) if r in const_values else
-                f"V[{r if layout is None else layout.offsets[r]}]"
+                str(const_values[r]) if r in const_values else f"V[{offsets[r]}]"
                 for r in operands
             ]
             expression = numpy_expr(op_names[n], args, widths, out_width)
-            target = s if layout is None else layout.offsets[s]
-            statements.append(f"    V[{target}] = {expression}")
+            statements.append(f"    V[{offsets[s]}] = {expression}")
         else:
-            args = [
-                f"V[{layout.slices[r].start}:{layout.slices[r].stop}]"
-                for r in operands
-            ]
+            args = [f"V[{slices[r].start}:{slices[r].stop}]" for r in operands]
             expression = numpy_limb_expr(op_names[n], args, widths, out_width)
-            target = layout.slices[s]
             statements.append(
-                f"    V[{target.start}:{target.stop}] = {expression}"
+                f"    V[{slices[s].start}:{slices[s].stop}] = {expression}"
             )
     return statements
 
@@ -531,15 +495,15 @@ def _cached_codegen_statements(
     )
 
 
-def _compile_batch_chunks(
-    statements: List[str], extra_namespace: Optional[Dict[str, object]] = None
-) -> List[Callable]:
+def _compile_batch_chunks(statements: List[str]) -> List[Callable]:
     """Chunked compile (as the scalar SU kernel) with the vector helpers
-    -- and, for limb-aware code, the split-limb evaluators -- available
-    as globals of the generated functions."""
-    helpers = codegen_namespace(numpy_target(numpy_or_none()))
-    if extra_namespace:
-        helpers = {**helpers, **extra_namespace}
+    and the split-limb evaluators (``_limb_<op>``) available as globals
+    of the generated functions."""
+    np = numpy_or_none()
+    helpers = codegen_namespace(numpy_target(np))
+    helpers.update(
+        (f"_limb_{name}", fn) for name, fn in make_limb_table(np).items()
+    )
     functions: List[Callable] = []
     for start in range(0, max(len(statements), 1), CODEGEN_CHUNK):
         chunk = statements[start:start + CODEGEN_CHUNK]
@@ -558,10 +522,9 @@ class CompiledBatchKernel(BatchKernel):
 
     Emission, compilation, and the ``cbin`` artifact cache live in
     :mod:`repro.lower.cbackend`; this class only binds the loaded pass
-    to the kernel interface.  Needs the native ``u64`` plane (slot rows
-    are the C kernel's address space) -- the factory falls back to the
-    NumPy codegen kernel on other backends or when no toolchain is
-    available.
+    to the kernel interface.  Needs the one-limb ``u64`` plane (slot
+    rows are the C kernel's address space) -- the factory falls back to
+    the walk kernel on other backends or when no toolchain is available.
     """
 
     style = COMPILED
@@ -602,10 +565,9 @@ def make_batch_kernel(
     """Instantiate the batched kernel for a configuration and backend.
 
     ``backend`` is resolved via :func:`repro.batch.backend.pick_backend`;
-    a codegen-style request transparently degrades to the walk kernel
-    when no native uint64 plane is available (an explicit ``object``
-    request or no NumPy is a property of the design/environment, not a
-    user error).
+    without NumPy every request transparently degrades to the
+    pure-Python walk (a missing NumPy is a property of the environment,
+    not a user error).
 
     ``"activity"`` (or ``"activity:PSU"`` etc.) selects the batched
     activity cascade (:class:`BatchActivityKernel`) around the named
@@ -614,11 +576,11 @@ def make_batch_kernel(
 
     ``"compiled"`` selects the compiled C pass
     (:class:`CompiledBatchKernel`).  When the design needs more than the
-    native ``u64`` plane or no C toolchain (and no cached shared object)
-    is available, the factory degrades to the SU codegen kernel and
-    records why on the returned kernel's ``compiled_fallback``
-    attribute -- like the codegen degrade above, a missing compiler is a
-    property of the environment, not a user error.
+    one-limb ``u64`` plane or no C toolchain (and no cached shared
+    object) is available, the factory degrades to the walk kernel -- the
+    fastest NumPy kernel -- and records why on the returned kernel's
+    ``compiled_fallback`` attribute: like a missing NumPy, a missing
+    compiler is a property of the environment, not a user error.
     """
     activity = False
     compiled = False
@@ -638,7 +600,9 @@ def make_batch_kernel(
         try:
             return CompiledBatchKernel(bundle, config, lanes, backend)
         except CBackendUnavailable as reason:
-            kernel = _dispatch_kernel(bundle, config, lanes, backend, activity)
+            kernel = _dispatch_kernel(
+                bundle, get_kernel_config("PSU"), lanes, backend, activity
+            )
             kernel.compiled_fallback = str(reason)
             return kernel
     return _dispatch_kernel(bundle, config, lanes, backend, activity)
@@ -656,6 +620,6 @@ def _dispatch_kernel(
     if backend == "python":
         return BatchPyKernel(bundle, config, lanes, backend)
     style = _STYLE_OF_CONFIG.get(config.name, WALK)
-    if style == CODEGEN and backend in ("u64", "u64xN"):
+    if style == CODEGEN:
         return BatchCodegenKernel(bundle, config, lanes, backend)
     return BatchWalkKernel(bundle, config, lanes, backend)

@@ -8,13 +8,16 @@ is the tensor-algebra view of multi-seed regression and design-space
 sweeps: the lane rank rides along every Einsum for free.
 
 Register commit reuses the scalar simulator's per-clock-domain grouping
-(Section 6.2), staged two-phase so register-to-register moves stay
-hardware-accurate in every lane.
+(Section 6.2) and is two-phase, so register-to-register moves stay
+hardware-accurate in every lane: on the NumPy plane one gather of every
+next-state row followed by one scatter to the state rows, over row-index
+arrays built once per clock domain; on ``python`` a staged list copy.
 
-Storage is backend-native (:mod:`repro.batch.backend`): one plane row
-per slot on ``u64``/``object``/``python``, and ``ceil(width/64)`` limb
-rows per slot on the split-limb ``u64xN`` fast path -- the host surface
-(ints in, ints out) is identical either way.
+Storage is backend-native (:mod:`repro.batch.backend`): ``ceil(width/64)``
+uint64 limb rows per slot on the NumPy plane (``u64`` is the case where
+that is one row for every slot, ``u64xN`` the case where it is not), one
+list row per slot on ``python`` -- the host surface (ints in, ints out)
+is identical either way.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .backend import (
     alloc_values,
     copy_values,
     limb_layout,
+    numpy_or_none,
     pick_backend,
     plane_rows,
     read_slot,
@@ -72,8 +76,8 @@ class BatchSimulator:
         NumPy it rides the pure-Python lane fallback rather than
         failing (skip rates observable via :attr:`activity_stats`).
     backend:
-        ``"auto"`` (default), ``"u64"``, ``"u64xN"``, ``"object"`` or
-        ``"python"``; see :mod:`repro.batch.backend`.
+        ``"auto"`` (default), ``"u64"``, ``"u64xN"`` or ``"python"``;
+        see :mod:`repro.batch.backend`.
     """
 
     def __init__(
@@ -90,14 +94,20 @@ class BatchSimulator:
         self.bundle = compile_design(design, optimize_graph, preserve_signals)
         self.lanes = lanes
         self.backend = pick_backend(self.bundle, backend)
-        self.layout = limb_layout(self.bundle) if self.backend == "u64xN" else None
+        self.layout = None if self.backend == "python" else limb_layout(self.bundle)
         self.kernel: BatchKernel = make_batch_kernel(
             self.bundle, kernel, lanes, self.backend
         )
         self.values = alloc_values(self.bundle, lanes, self.backend, self.layout)
         self.cycle = 0
         self._dirty = True
-        self._commits_by_clock = group_commits_by_clock(self.bundle)
+        #: What :meth:`_commit` moves: for every domain at once
+        #: (:meth:`step`) and per clock domain (:meth:`step_domain`).
+        self._all_commits = self._commit_table(self.bundle.register_commits)
+        self._commits_by_clock = {
+            clock: self._commit_table(commits)
+            for clock, commits in group_commits_by_clock(self.bundle).items()
+        }
         self._poked: set = set()
 
     # ------------------------------------------------------------------
@@ -249,7 +259,7 @@ class BatchSimulator:
         """Advance all clock domains of all lanes by ``cycles`` edges."""
         for _ in range(cycles):
             self._settle()
-            self._commit(self.bundle.register_commits)
+            self._commit(self._all_commits)
             self.cycle += 1
             self._dirty = True
 
@@ -311,7 +321,7 @@ class BatchSimulator:
         Unlike :class:`BatchSnapshot` (backend-native, cheap, same
         process), the exported form is portable: plain int lists cross
         process boundaries -- and slot-indexed ints are backend-agnostic,
-        so a ``u64xN`` worker can hand its state to an ``object`` peer --
+        so a ``u64xN`` worker can hand its state to a ``python`` peer --
         which is how the sharded process executor checkpoints workers.
         """
         self._settle()
@@ -420,24 +430,28 @@ class BatchSimulator:
         self.kernel.eval_comb(self.values)
         self._dirty = False
 
-    def _commit(self, commits: Iterable) -> None:
+    def _commit_table(self, commits: Iterable[Tuple[int, int]]):
+        """The ``(state, next)`` slot pairs themselves on ``python``; on
+        the NumPy plane their ``(state_rows, next_rows)`` row-index
+        arrays, one row pair per limb of each register."""
+        if self.backend == "python":
+            return list(commits)
+        np, rows_of = numpy_or_none(), self.layout.rows_of
+        return (
+            np.array(rows_of([state for state, _ in commits]), dtype=np.intp),
+            np.array(rows_of([next_slot for _, next_slot in commits]), dtype=np.intp),
+        )
+
+    def _commit(self, table) -> None:
         values = self.values
         if self.backend == "python":
-            staged = [(state, list(values[next_slot])) for state, next_slot in commits]
+            staged = [(state, list(values[next_slot])) for state, next_slot in table]
             for state, lane_values in staged:
                 values[state][:] = lane_values
-        elif self.backend == "u64xN":
-            slices = self.layout.slices
-            staged = [
-                (slices[state], values[slices[next_slot]].copy())
-                for state, next_slot in commits
-            ]
-            for target, lane_rows in staged:
-                values[target] = lane_rows
         else:
-            staged = [(state, values[next_slot].copy()) for state, next_slot in commits]
-            for state, lane_values in staged:
-                values[state] = lane_values
+            # Two-phase: the gather completes before the scatter starts.
+            state_rows, next_rows = table
+            values[state_rows] = values[next_rows]
 
     def __repr__(self) -> str:
         return (

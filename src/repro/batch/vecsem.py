@@ -10,16 +10,11 @@ Algorithm 3 does -- which is what makes the lane rank free: it rides
 along every Einsum without changing the traversal.
 
 :func:`make_vec_table` binds the table to the single-row target
-(:func:`repro.batch.backend.numpy_target`), in one of two modes:
+(:func:`repro.batch.backend.numpy_target`): operands are uint64 lane
+vectors, and wrap-around modulo 2**64 followed by the output-width mask
+is exact for every arithmetic op once shifts are guarded.
 
-* ``u64``    -- operands are uint64 lane vectors.  Wrap-around modulo
-  2**64 followed by the output-width mask is exact for every arithmetic
-  op once shifts are guarded.
-* ``object`` -- operands are object arrays of Python ints, bit-exact at
-  any width.  Comparison results are normalised back to Python ints so
-  fixed-width NumPy scalars can never leak into the unbounded arithmetic.
-
-:func:`make_limb_table` binds it to the split-limb ``u64xN`` target
+:func:`make_limb_table` binds it to the split-limb target
 (:func:`limb_target`): operands and results are ``(limbs, B)`` uint64
 matrices (little-endian limb rows of the flat plane,
 :class:`repro.batch.backend.LimbLayout`).  Arithmetic propagates
@@ -43,24 +38,24 @@ from ..graph.opsem import BITWISE, Evaluator, Target, bind_table
 from .backend import LIMB_BITS, limbs_for_width, numpy_target, popcount_parity, split_limbs
 
 
-def make_vec_table(np, mode: str = "u64") -> Dict[str, Evaluator]:
-    """The ``op name -> lane-vector evaluator`` table for one mode."""
-    return bind_table(numpy_target(np, object_mode=mode == "object"))
+def make_vec_table(np) -> Dict[str, Evaluator]:
+    """The ``op name -> lane-vector evaluator`` table over uint64 rows."""
+    return bind_table(numpy_target(np))
 
 
 # ----------------------------------------------------------------------
-# Split-limb (u64xN) evaluators
+# Split-limb evaluators
 # ----------------------------------------------------------------------
 def make_limb_table(np) -> Dict[str, Evaluator]:
-    """The ``op name -> limb-matrix evaluator`` table for the ``u64xN``
-    backend.
+    """The ``op name -> limb-matrix evaluator`` table for operations wider
+    than one limb.
 
     Every evaluator consumes ``(limbs, B)`` uint64 matrices (operand limb
     counts follow the operand widths) and returns a
     ``(limbs_for_width(out_width), B)`` matrix masked to ``out_width``
     -- every result is fit, since a limb matrix carries its row count as
     well as its value.  Only ops that actually see a >64-bit operand or
-    result are routed here; single-limb ops stay on the plain ``u64``
+    result are routed here; single-limb ops stay on the single-row
     table (see :func:`repro.lower.plan.limb_plan`).
     """
     return bind_table(limb_target(np), fit_all=True)

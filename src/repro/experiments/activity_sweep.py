@@ -169,19 +169,6 @@ def render_rows(rows: Sequence[ActivityRow], title: str) -> str:
     )
 
 
-def render_activity_sweep(
-    designs: Sequence[str] = DEFAULT_DESIGNS,
-    periods: Sequence[int] = DEFAULT_PERIODS,
-    lanes: int = DEFAULT_LANES,
-    cycles: int = DEFAULT_CYCLES,
-) -> str:
-    return render_rows(
-        sweep_rows(designs, periods, lanes=lanes, cycles=cycles),
-        title=f"Activity sweep (measured, {cycles} cycles, B={lanes}): "
-        "dense vs fiber-driven sparse engine on held stimulus",
-    )
-
-
 # ----------------------------------------------------------------------
 # CLI: python -m repro.experiments activity-sweep [--designs ...]
 # ----------------------------------------------------------------------

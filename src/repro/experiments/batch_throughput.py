@@ -32,7 +32,7 @@ DEFAULT_CYCLES = 48
 
 @dataclass
 class ThroughputRow:
-    """One (design, kernel, B, backend) measurement."""
+    """One (design, kernel, B) measurement."""
 
     design: str
     kernel: str
@@ -61,22 +61,15 @@ class ThroughputRow:
         }
 
 
-def measure_backends(
+def measure(
     design_name: str,
     kernel: str = "PSU",
     lanes: int = 8,
     cycles: int = DEFAULT_CYCLES,
     base_seed: int = 0xB47C4,
-    backends: Sequence[str] = ("auto",),
-) -> List[ThroughputRow]:
-    """Measure one design/kernel/B point, one row per storage backend.
-
-    The scalar arm is measured once and shared across the backend rows
-    (it has no plane backend), so backend-comparison sweeps -- e.g. the
-    split-limb ``u64xN`` fast path against the ``object`` reference on a
-    wide design -- only re-run the batched arm.  Identical stimulus in
-    every arm.
-    """
+) -> ThroughputRow:
+    """Measure one design/kernel/B point: the scalar arm, then the
+    batched arm on the design's own plane, identical stimulus in both."""
     from ..batch import BatchSimulator
     from ..sim.simulator import Simulator
 
@@ -97,40 +90,24 @@ def measure_backends(
             scalar.step()
     scalar_elapsed = time.perf_counter() - start
 
+    batch = BatchSimulator(bundle, lanes=lanes, kernel=kernel)
+    start = time.perf_counter()
+    for cycle in range(cycles):
+        workload.apply(batch, cycle)
+        batch.step()
+    batch_elapsed = time.perf_counter() - start
+
     lane_cycles = lanes * cycles
-    rows: List[ThroughputRow] = []
-    for backend in backends:
-        batch = BatchSimulator(bundle, lanes=lanes, kernel=kernel, backend=backend)
-        start = time.perf_counter()
-        for cycle in range(cycles):
-            workload.apply(batch, cycle)
-            batch.step()
-        batch_elapsed = time.perf_counter() - start
-        rows.append(ThroughputRow(
-            design=design_name,
-            kernel=kernel,
-            lanes=lanes,
-            backend=batch.backend,
-            style=batch.kernel.style,
-            cycles=cycles,
-            scalar_lane_cps=lane_cycles / max(scalar_elapsed, 1e-12),
-            batch_lane_cps=lane_cycles / max(batch_elapsed, 1e-12),
-        ))
-    return rows
-
-
-def measure(
-    design_name: str,
-    kernel: str = "PSU",
-    lanes: int = 8,
-    cycles: int = DEFAULT_CYCLES,
-    base_seed: int = 0xB47C4,
-    backend: str = "auto",
-) -> ThroughputRow:
-    """Measure one design/kernel/B/backend point (both arms)."""
-    return measure_backends(
-        design_name, kernel, lanes, cycles, base_seed, (backend,)
-    )[0]
+    return ThroughputRow(
+        design=design_name,
+        kernel=kernel,
+        lanes=lanes,
+        backend=batch.backend,
+        style=batch.kernel.style,
+        cycles=cycles,
+        scalar_lane_cps=lane_cycles / max(scalar_elapsed, 1e-12),
+        batch_lane_cps=lane_cycles / max(batch_elapsed, 1e-12),
+    )
 
 
 def throughput_rows(
@@ -138,17 +115,14 @@ def throughput_rows(
     kernels: Sequence[str] = DEFAULT_KERNELS,
     lanes_list: Sequence[int] = DEFAULT_LANES,
     cycles: int = DEFAULT_CYCLES,
-    backends: Sequence[str] = ("auto",),
 ) -> List[ThroughputRow]:
-    """The full sweep, one row per (design, kernel, B, backend)."""
-    rows: List[ThroughputRow] = []
-    for design in designs:
-        for kernel in kernels:
-            for lanes in lanes_list:
-                rows.extend(
-                    measure_backends(design, kernel, lanes, cycles, backends=backends)
-                )
-    return rows
+    """The full sweep, one row per (design, kernel, B)."""
+    return [
+        measure(design, kernel, lanes, cycles)
+        for design in designs
+        for kernel in kernels
+        for lanes in lanes_list
+    ]
 
 
 def attach_compiled_speedup(row_dicts: List[Dict[str, object]]) -> List[Dict[str, object]]:

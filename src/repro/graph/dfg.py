@@ -170,24 +170,6 @@ class DataflowGraph:
                 result[operand].append(node.nid)
         return result
 
-    def live_nodes(self) -> List[int]:
-        """Node ids reachable from the roots (outputs + register nexts)."""
-        seen: set = set()
-        stack = [nid for nid in self.roots() if nid >= 0]
-        while stack:
-            nid = stack.pop()
-            if nid in seen:
-                continue
-            seen.add(nid)
-            stack.extend(self.nodes[nid].operands)
-        # Keep leaves live unconditionally: inputs and register state are
-        # externally visible even when combinationally unused.
-        for nid in self.inputs.values():
-            seen.add(nid)
-        for reg in self.registers.values():
-            seen.add(reg.state_nid)
-        return sorted(seen)
-
     def op_histogram(self) -> Dict[str, int]:
         histogram: Dict[str, int] = {}
         for node in self.op_nodes():

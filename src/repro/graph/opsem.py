@@ -10,9 +10,9 @@ other module knows what ``dshl`` means.  Each way of running an op is a
 * Python ints -- :data:`INT`, below.  ``get_semantics(name)(args, widths,
   ow)`` is the row bound to it (constant folding, the scalar kernels, the
   pure-Python batch fallback);
-* NumPy lane vectors -- :func:`repro.batch.backend.numpy_target`: ``u64``
-  and ``object`` rows, and layer-blocked ``(k, B)`` groups with ``(k, 1)``
-  width columns;
+* NumPy lane vectors -- :func:`repro.batch.backend.numpy_target`: uint64
+  rows, and layer-blocked ``(k, B)`` groups with ``(k, 1)`` width
+  columns;
 * NumPy split limbs -- :func:`repro.batch.vecsem.limb_target`;
 * source text -- :class:`Dialect`, below: a target whose primitives spell
   expressions, in three dialects -- NumPy (the base class), Python

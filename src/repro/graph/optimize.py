@@ -329,11 +329,6 @@ def fuse_operator_chains(
     if not replacements:
         return graph
 
-    def fusion_hook(
-        new: DataflowGraph, node: DfgNode, operands: Tuple[int, ...], _stats: OptStats
-    ) -> Optional[int]:
-        return None
-
     # Rebuild manually to remap fused operand lists (which reference *old*
     # node ids across absorbed interiors).
     new = DataflowGraph(graph.name)

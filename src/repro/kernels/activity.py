@@ -4,8 +4,8 @@ Box 1 classifies ESSENT's signature optimisation -- "skipping partitions
 w/o activity" -- as a *cascade-level* change: the cascade gains signal
 recording and conditional evaluation.  This module implements it for the
 RTeAAL kernels at *record* granularity: the per-cycle toggled-value set
-is a compressed :class:`~repro.tensor.fiber.Fiber` (built by
-:mod:`repro.kernels.fiberwalk`), and only the operations downstream of it
+is a compressed :class:`~repro.tensor.fiber.Fiber`
+(:mod:`repro.kernels.fiberwalk`), and only the operations downstream of it
 re-evaluate.  Between combinational passes only the walk's leaves --
 input slots and register state slots -- can change, so one leaf diff
 seeds the fiber and change propagation does the rest.
@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
+from ..lower.program import cached_program
 from ..oim.builder import OimBundle
 from .config import KernelConfig, get_kernel_config
-from .fiberwalk import FiberWalkSchedule, PendingLayers, cached_fiber_walk
+from .fiberwalk import PendingLayers
 from .pykernels import Kernel
 
 
@@ -123,7 +124,7 @@ class ActivityAwareKernel(Kernel):
             config = get_kernel_config(config)
         super().__init__(bundle, config)
         self.stats = ActivityStats()
-        self.schedule: FiberWalkSchedule = cached_fiber_walk(bundle)
+        self.program = cached_program(bundle)
         self._semantics = [
             bundle.op_table.entry(code).semantics
             for code in range(len(bundle.op_table))
@@ -133,13 +134,13 @@ class ActivityAwareKernel(Kernel):
 
     def eval_comb(self, values: List[int]) -> None:
         self.stats.cycles += 1
-        schedule = self.schedule
-        leaves = schedule.leaf_slots
+        program = self.program
+        leaves = program.leaf_slots
         semantics = self._semantics
         if self._last_leaves is None:
             # Cold pass: the plane's intermediates are unsettled (fresh
             # reset, restored snapshot), so run the full dense walk.
-            for layer in schedule.layers:
+            for layer in program.layers:
                 for n, s, operands, widths, out_width in layer:
                     values[s] = semantics[n](
                         [values[r] for r in operands], widths, out_width
@@ -155,14 +156,14 @@ class ActivityAwareKernel(Kernel):
             if values[slot] != last[index]
         ]
         if not changed:
-            self.stats.layers_skipped += schedule.num_layers
-            self.stats.ops_skipped += schedule.num_records
+            self.stats.layers_skipped += program.num_layers
+            self.stats.ops_skipped += program.num_records
             return
 
-        pending = PendingLayers(schedule.num_layers, schedule.consumers)
+        pending = PendingLayers(program.num_layers, program.consumers)
         for slot in changed:
             pending.mark(slot)
-        for layer_index, layer in enumerate(schedule.layers):
+        for layer_index, layer in enumerate(program.layers):
             queued = pending.pending(layer_index)
             if not queued:
                 self.stats.layers_skipped += 1

@@ -86,8 +86,8 @@ def numpy_expr(
     plane), so Python conditionals become ``_where`` and the data-dependent
     or shift-guarded operations call helpers (``_div``, ``_rem``, ``_dshl``,
     ``_dshr``, ``_head``, ``_pop``) that the kernel injects into the
-    generated namespace.  Only valid when every slot width fits uint64;
-    wider designs take the object-array walk kernel instead.
+    generated namespace.  Only valid when every operand and result width
+    fits uint64; wider operations render through :func:`numpy_limb_expr`.
     """
     return NUMPY.render(op, args, widths, out_width)
 

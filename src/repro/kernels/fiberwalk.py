@@ -12,12 +12,15 @@ below 1 (ESSENT's Box-1 observation), so the toggled fiber's occupancy
 is usually a small fraction of ``num_slots`` and the walk touches only
 the operations downstream of it.
 
-Both activity-aware kernels consume the schedule built here: the scalar
+Both activity-aware kernels -- the scalar
 :class:`repro.kernels.activity.ActivityAwareKernel` and the batched
 :class:`repro.batch.kernels.BatchActivityKernel` (which adds per-lane
-masks and lane compaction on top).  Sharing one schedule keeps the two
-paths semantically identical and lets the :mod:`repro.serve` artifact
-cache serve both from the same entry.
+masks and lane compaction on top) -- walk the shared
+:class:`~repro.lower.program.OimProgram` (its ``layers``, its
+``consumers`` transpose of the R rank, its ``leaf_slots``) through the
+:class:`PendingLayers` queue defined here.  Sharing one program keeps
+the two paths semantically identical and lets the :mod:`repro.serve`
+artifact cache serve both from the same entry.
 
 Soundness: layers are dependence levels, and every operation is a pure
 function of its operand slots.  A record therefore needs re-evaluation
@@ -28,101 +31,9 @@ output joins the fiber only when the recomputed value actually differs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..lower.program import ProgramRow, cached_program, lower_program
-from ..oim.builder import OimBundle
 from ..tensor.fiber import Fiber
-
-#: One walk record: ``(n, s, operands, widths, out_width)`` -- the
-#: shared :data:`repro.lower.program.ProgramRow` shape (the opcode index
-#: is rebound to live op-table entries on use, which is what keeps the
-#: rows picklable for the artifact cache).
-WalkRow = ProgramRow
-
-
-def walk_layer_rows(bundle: OimBundle) -> List[List[WalkRow]]:
-    """The OIM walk as per-layer row lists (the shared program's layers).
-
-    The traversal order is the RU kernel's: rank I outermost, rank S
-    concordant within each layer, operands in O order -- the canonical
-    order of :func:`repro.lower.lower_program`.  Layers are dependence
-    levels, so records within one layer never read each other's outputs.
-    """
-    return lower_program(bundle).layers
-
-
-def cached_walk_layer_rows(bundle: OimBundle) -> List[List[WalkRow]]:
-    """:func:`walk_layer_rows` via the cached shared program (kind
-    ``program`` in the :mod:`repro.serve` artifact cache).  A warm
-    server start thereby skips the lowering sweep entirely; backend and
-    lane count never enter the key because rows address slots, not
-    planes."""
-    return cached_program(bundle).layers
-
-
-@dataclass
-class FiberWalkSchedule:
-    """Everything a fiber-driven walk needs, in picklable form.
-
-    ``layers`` is the plain walk (same rows as the dense kernels run);
-    ``consumers[slot]`` lists the ``(layer, record_index)`` pairs that
-    read the slot -- the transpose of the OIM's R rank, which is what
-    turns a toggled-slot fiber into a per-layer pending-record fiber;
-    ``leaf_slots`` are the walk's sources (inputs and register state
-    slots): the only slots whose values change *between* combinational
-    passes, and therefore the only ones an activity tracker must
-    snapshot.  Constants never change and operation outputs are tracked
-    by the walk itself.
-    """
-
-    layers: List[List[WalkRow]]
-    consumers: List[Tuple[Tuple[int, int], ...]]
-    leaf_slots: Tuple[int, ...]
-    num_slots: int
-
-    @property
-    def num_records(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-
-def build_fiber_walk(bundle: OimBundle) -> FiberWalkSchedule:
-    """Lower ``bundle`` to a :class:`FiberWalkSchedule`.
-
-    A thin view over the shared program: the walk layers, the consumer
-    transpose, and the leaf table are all carried by
-    :class:`~repro.lower.program.OimProgram` now, so this just rebinds
-    them under the schedule's historical field names.
-    """
-    program = cached_program(bundle)
-    return FiberWalkSchedule(
-        layers=program.layers,
-        consumers=list(program.consumers),
-        leaf_slots=program.leaf_slots,
-        num_slots=program.num_slots,
-    )
-
-
-def cached_fiber_walk(bundle: OimBundle) -> FiberWalkSchedule:
-    """:func:`build_fiber_walk` over the cached shared program.  The
-    consumer transpose is a full sweep over the R rank; it persists as
-    part of the ``program`` artifact, so warm starts skip it along with
-    the walk lowering."""
-    return build_fiber_walk(bundle)
-
-
-def toggled_fiber(changed_slots: Iterable[int], num_slots: int) -> Fiber:
-    """The per-cycle toggled-value set as a compressed fiber.
-
-    Coordinates are slot indices; the payload (1) marks presence -- the
-    occupancy/shape ratio *is* the cycle's activity factor.
-    """
-    return Fiber(((slot, 1) for slot in changed_slots), shape=num_slots)
 
 
 class PendingLayers:
@@ -149,13 +60,6 @@ class PendingLayers:
         for layer_index, record_index in self._consumers[slot]:
             self._layers[layer_index].set(record_index, 1)
 
-    def mark_fiber(self, toggled: Fiber) -> None:
-        for slot, _payload in toggled:
-            self.mark(slot)
-
     def pending(self, layer_index: int) -> List[int]:
         """The layer's queued record indices, in coordinate order."""
         return self._layers[layer_index].coords()
-
-    def occupancy(self, layer_index: int) -> int:
-        return self._layers[layer_index].occupancy

@@ -20,7 +20,7 @@ U64_MAX_WIDTH = 64
 
 def is_narrow(widths, out_width) -> bool:
     """True when an op never sees a >64-bit operand or result."""
-    return out_width <= U64_MAX_WIDTH and all(w <= U64_MAX_WIDTH for w in widths)
+    return max((out_width, *widths)) <= U64_MAX_WIDTH
 
 
 PlanStep = Tuple[str, object, List[ProgramRow]]

@@ -7,9 +7,9 @@ input/output slots, register commits, leaf slots, the slot-to-consumer
 transpose) and a canonical SHA-256 fingerprint that keys derived
 artifacts (SU codegen statements, compiled shared objects).
 
-The row shape is the batch walk's historical ``WalkRow`` tuple --
+The row shape is the tuple the walks consume --
 ``(n, s, operands, widths, out_width)`` with ``n`` the opcode index --
-so every existing executor consumes it without adaptation, and the rows
+so every executor consumes it without adaptation, and the rows
 stay picklable for the :mod:`repro.serve` artifact cache.  Traversal
 order is the paper's RU order: rank I outermost, rank S concordant
 within each layer, operands in O order; this is exactly the order of

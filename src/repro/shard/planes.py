@@ -24,7 +24,7 @@ def shm_eligibility(partitions, backend: str) -> Tuple[bool, str]:
 
     Returns ``(eligible, reason)``: the planes are uint64 rows, so every
     partition must resolve onto the single-row u64 backend -- NumPy
-    present, no explicit object/limb/python request, and no slot wider
+    present, no explicit limb/python request, and no slot wider
     than :data:`~repro.batch.backend.U64_MAX_WIDTH` bits anywhere.
     """
     if not HAS_NUMPY:

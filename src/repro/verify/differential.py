@@ -7,9 +7,10 @@ design and a stimulus seed it builds the whole engine matrix --
 
 * ``scalar`` -- B independent scalar :class:`~repro.sim.Simulator` runs
   behind the batched surface (:class:`ScalarFleet`), the reference;
-* ``batch-*`` -- :class:`~repro.batch.BatchSimulator` on every value-
-  plane backend valid for the design (``u64``, ``u64xN``, ``object``,
-  or the pure-Python fallback), plus an SU-codegen arm and -- when the
+* ``batch-*`` -- :class:`~repro.batch.BatchSimulator` on the design's
+  value plane (the NumPy plane -- ``batch-u64`` for a narrow design,
+  ``batch-u64xN`` for a wide one, the same walk either way -- or the
+  pure-Python fallback), plus an SU-codegen arm and -- when the
   design fits u64 planes and a C toolchain is present -- the compiled
   C batch backend (``batch-compiled``/``shard-compiled``);
 * ``shard-*`` -- :class:`~repro.shard.ShardedBatchSimulator` across
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..batch import BatchSimulator, HAS_NUMPY
-from ..batch.backend import supports_u64
+from ..batch.backend import BACKENDS, supports_u64
 from ..designs.registry import compile_named_design, compiled_graph
 from ..lower.cbackend import has_toolchain
 from ..shard import ShardedBatchSimulator
@@ -150,6 +151,52 @@ def _spec(name: str, kind: str, **options) -> EngineSpec:
     return EngineSpec(name, kind, tuple(sorted(options.items())))
 
 
+def _named_engines(kernel: str) -> Dict[str, tuple]:
+    """``name -> (kind, options)`` of every engine whose name is not
+    simply its options spelled out (those are ``batch-<backend>`` and
+    ``shard-<executor>-<partitioner>``, see :func:`spec_from_name`)."""
+    serial = {"executor": "serial", "partitioner": "greedy"}
+    return {
+        "scalar": ("scalar", {"kernel": kernel}),
+        "batch-su": ("batch", {"backend": "auto", "kernel": "SU"}),
+        "batch-activity": (
+            "batch", {"backend": "auto", "kernel": f"activity:{kernel}"}),
+        "batch-compiled": ("batch", {"backend": "u64", "kernel": "compiled"}),
+        "shard-activity": ("shard", {**serial, "kernel": f"activity:{kernel}"}),
+        "shard-compiled": ("shard", {**serial, "kernel": "compiled"}),
+        "shard-socket": ("shard", {
+            "executor": "socket", "partitioner": "greedy", "kernel": kernel}),
+        "shard-shm": ("shard", {
+            "executor": "process", "partitioner": "greedy", "shm_planes": True,
+            "kernel": kernel}),
+    }
+
+
+def spec_from_name(name: str, kernel: str = "PSU") -> EngineSpec:
+    """Build an :class:`EngineSpec` from its systematic name (``scalar``,
+    ``batch-<backend>``, ``batch-su``, ``shard-<executor>-<partitioner>``,
+    ...) -- how :func:`engine_matrix` builds its specs, and what lets a
+    repro command round-trip a custom engine list.
+    """
+    named = _named_engines(kernel).get(name)
+    if named is not None:
+        kind, options = named
+        return _spec(name, kind, **options)
+    family, _, rest = name.partition("-")
+    if family == "batch" and rest in (*BACKENDS, "auto"):
+        return _spec(name, "batch", backend=rest, kernel=kernel)
+    if family == "shard" and rest.count("-") == 1:
+        executor, partitioner = rest.split("-")
+        return _spec(name, "shard", executor=executor,
+                     partitioner=partitioner, kernel=kernel)
+    raise KeyError(
+        f"unknown engine name {name!r}; expected scalar, batch-<backend>, "
+        "batch-su, batch-activity, batch-compiled, shard-activity, "
+        "shard-compiled, shard-socket, shard-shm, or "
+        "shard-<executor>-<partitioner>"
+    )
+
+
 def engine_matrix(
     design: str,
     include_process: bool = False,
@@ -158,125 +205,44 @@ def engine_matrix(
 ) -> List[EngineSpec]:
     """The engine matrix valid for ``design`` on this host.
 
-    Always includes the scalar reference, every available batch backend,
-    and the serial sharded engine under both partitioner strategies.
-    ``include_process`` adds the process-executor arm (one OS process
-    per partition -- real isolation, slower to spawn); ``full`` widens
-    the process arm to both partitioner strategies.
+    Always includes the scalar reference, the batch walk on the design's
+    plane, and the serial sharded engine under both partitioner
+    strategies.  ``include_process`` adds the process-executor arm (one
+    OS process per partition -- real isolation, slower to spawn);
+    ``full`` widens the process arm to both partitioner strategies.
     """
-    specs = [_spec("scalar", "scalar", kernel=kernel)]
+    names = ["scalar"]
+    narrow = HAS_NUMPY and supports_u64(compile_named_design(design))
     if HAS_NUMPY:
-        design_is_u64 = supports_u64(compile_named_design(design))
-        if design_is_u64:
-            specs.append(_spec("batch-u64", "batch", backend="u64", kernel=kernel))
-        specs.append(_spec("batch-u64xN", "batch", backend="u64xN", kernel=kernel))
-        specs.append(_spec("batch-object", "batch", backend="object", kernel=kernel))
-        specs.append(_spec("batch-su", "batch", backend="auto", kernel="SU"))
+        # One NumPy plane, one walk: a narrow design's plane is the
+        # one-limb case, so a second backend arm would re-run the same code.
+        names += ["batch-u64" if narrow else "batch-u64xN", "batch-su"]
         # The compiled C batch backend rides the matrix wherever it can
         # actually compile: u64-plane designs on hosts with a toolchain.
         # (Elsewhere `kernel="compiled"` falls back to the NumPy walk,
-        # which batch-su already covers.)
-        if design_is_u64 and has_toolchain():
-            specs.append(
-                _spec("batch-compiled", "batch", backend="u64",
-                      kernel="compiled")
-            )
-            specs.append(
-                _spec("shard-compiled", "shard", executor="serial",
-                      partitioner="greedy", kernel="compiled")
-            )
+        # which the arm above already covers.)
+        if narrow and has_toolchain():
+            names += ["batch-compiled", "shard-compiled"]
     else:
-        specs.append(_spec("batch-python", "batch", backend="python", kernel=kernel))
+        names.append("batch-python")
     # Sparse engines: the fiber-driven activity walk must stay bit-exact
     # with the dense engines on *arbitrary* stimulus, not just the
     # low-activity streams it is built for -- so it rides in the default
     # matrix and every fuzz seed cross-checks its skip logic.
-    specs.append(
-        _spec("batch-activity", "batch", backend="auto",
-              kernel=f"activity:{kernel}")
-    )
-    specs.append(
-        _spec("shard-activity", "shard", executor="serial",
-              partitioner="greedy", kernel=f"activity:{kernel}")
-    )
-    specs.append(
-        _spec("shard-serial-greedy", "shard", executor="serial",
-              partitioner="greedy", kernel=kernel)
-    )
-    specs.append(
-        _spec("shard-serial-refined", "shard", executor="serial",
-              partitioner="refined", kernel=kernel)
-    )
+    names += ["batch-activity", "shard-activity",
+              "shard-serial-greedy", "shard-serial-refined"]
     if include_process:
-        specs.append(
-            _spec("shard-process-refined", "shard", executor="process",
-                  partitioner="refined", kernel=kernel)
-        )
         # Loopback socket workers: the distributed transport must stay
         # bit-exact with the in-process engines; same spawn cost class
         # as the process arm, so it rides behind the same flag.
-        specs.append(
-            _spec("shard-socket", "shard", executor="socket",
-                  partitioner="greedy", kernel=kernel)
-        )
-        if HAS_NUMPY and supports_u64(compile_named_design(design)):
+        names += ["shard-process-refined", "shard-socket"]
+        if narrow:
             # Shared-memory lane planes, explicitly required (auto would
             # silently fall back to pipes and test nothing new here).
-            specs.append(
-                _spec("shard-shm", "shard", executor="process",
-                      partitioner="greedy", shm_planes=True, kernel=kernel)
-            )
+            names.append("shard-shm")
         if full:
-            specs.append(
-                _spec("shard-process-greedy", "shard", executor="process",
-                      partitioner="greedy", kernel=kernel)
-            )
-    return specs
-
-
-def spec_from_name(name: str, kernel: str = "PSU") -> EngineSpec:
-    """Rebuild an :class:`EngineSpec` from its systematic name.
-
-    The inverse of the naming used by :func:`engine_matrix` (``scalar``,
-    ``batch-<backend>``, ``batch-su``, ``shard-<executor>-<partitioner>``)
-    -- what lets a repro command round-trip a custom engine list.
-    """
-    if name == "scalar":
-        return _spec("scalar", "scalar", kernel=kernel)
-    if name == "batch-su":
-        return _spec("batch-su", "batch", backend="auto", kernel="SU")
-    if name == "batch-activity":
-        return _spec("batch-activity", "batch", backend="auto",
-                     kernel=f"activity:{kernel}")
-    if name == "shard-activity":
-        return _spec("shard-activity", "shard", executor="serial",
-                     partitioner="greedy", kernel=f"activity:{kernel}")
-    if name == "batch-compiled":
-        return _spec("batch-compiled", "batch", backend="u64",
-                     kernel="compiled")
-    if name == "shard-compiled":
-        return _spec("shard-compiled", "shard", executor="serial",
-                     partitioner="greedy", kernel="compiled")
-    if name == "shard-socket":
-        return _spec("shard-socket", "shard", executor="socket",
-                     partitioner="greedy", kernel=kernel)
-    if name == "shard-shm":
-        return _spec("shard-shm", "shard", executor="process",
-                     partitioner="greedy", shm_planes=True, kernel=kernel)
-    if name.startswith("batch-"):
-        return _spec(name, "batch", backend=name[len("batch-"):], kernel=kernel)
-    if name.startswith("shard-"):
-        parts = name.split("-")
-        if len(parts) == 3:
-            _, executor, partitioner = parts
-            return _spec(name, "shard", executor=executor,
-                         partitioner=partitioner, kernel=kernel)
-    raise KeyError(
-        f"unknown engine name {name!r}; expected scalar, batch-<backend>, "
-        "batch-su, batch-activity, batch-compiled, shard-activity, "
-        "shard-compiled, shard-socket, shard-shm, or "
-        "shard-<executor>-<partitioner>"
-    )
+            names.append("shard-process-greedy")
+    return [spec_from_name(name, kernel) for name in names]
 
 
 def build_engine(spec: EngineSpec, design: str, lanes: int):

@@ -13,7 +13,7 @@ LANES = 3
 CYCLES = 24
 
 #: >=3 registry designs; sha3 has 65-bit slots, exercising the split-limb
-#: u64xN fast path (auto never picks object rows any more) on NumPy.
+#: multi-limb rows of the NumPy plane (backend ``u64xN``).
 DESIGNS = ("rocket-1", "gemmini-8", "sha3")
 #: >=2 kernel configs: one walk-style, one codegen-style.
 KERNELS = ("PSU", "SU")
@@ -62,16 +62,16 @@ class TestLockstepEquivalence:
         sha3 = compile_named_design("sha3")
         assert supports_u64(rocket) and not supports_u64(sha3)
         assert BatchSimulator(rocket, lanes=2).backend == "u64"
-        # A >64-bit design stays on the vectorised fast path via the
-        # split-limb plane -- auto never degrades to object rows any more.
+        # A >64-bit design stays on the vectorised NumPy plane: its wide
+        # slots take several limb rows.
         assert BatchSimulator(sha3, lanes=2).backend == "u64xN"
         assert BatchSimulator(sha3, lanes=2, kernel="SU").kernel.style == "codegen"
         assert BatchSimulator(rocket, lanes=2, kernel="SU").kernel.style == "codegen"
-        # The object reference backend remains available on request, and
-        # SU degrades to the walk kernel there (no native uint64 plane).
-        wide_object = BatchSimulator(sha3, lanes=2, kernel="SU", backend="object")
-        assert wide_object.backend == "object"
-        assert wide_object.kernel.style == "walk"
+        # The list-of-lists plane remains available on request, and SU
+        # degrades to the pure-Python walk there (no NumPy plane).
+        wide_python = BatchSimulator(sha3, lanes=2, kernel="SU", backend="python")
+        assert wide_python.backend == "python"
+        assert wide_python.kernel.style == "python"
 
     def test_pick_backend_without_numpy(self):
         bundle = compile_named_design("rocket-1")
@@ -206,6 +206,94 @@ class TestMultiClock:
                 assert batch.peek(name) == [s.peek(name) for s in scalars]
 
 
+class TestTwoPhaseCommit:
+    """Register-to-register moves: every next-state row is read before
+    any state row is written, on both planes, for the all-domain
+    ``step()`` and the per-domain ``step_domain()`` commit tables."""
+
+    LANES = 3
+    SWAP, ROTATION = ("r1", "r2"), ("q0", "q1", "q2")
+
+    @staticmethod
+    def src(width):
+        """A swap on ``clock`` and a three-register rotation on ``clk2``;
+        every next-state slot *is* another register's state slot."""
+        w = f"UInt<{width}>"
+        return (
+            "circuit Moves :\n"
+            "  module Moves :\n"
+            "    input clock : Clock\n"
+            "    input clk2 : Clock\n"
+            + "".join(f"    output o_{r} : {w}\n" for r in ("r1", "r2", "q0", "q1", "q2"))
+            + f"    reg r1 : {w}, clock\n    reg r2 : {w}, clock\n"
+            + "".join(f"    reg {r} : {w}, clk2\n" for r in ("q0", "q1", "q2"))
+            + "    r1 <= r2\n    r2 <= r1\n"
+            "    q0 <= q2\n    q1 <= q0\n    q2 <= q1\n"
+            + "".join(f"    o_{r} <= {r}\n" for r in ("r1", "r2", "q0", "q1", "q2"))
+        )
+
+    def seeded(self, width, backend, rng):
+        """A batch and its scalar references with distinct random
+        register state in every lane (registers are not pokeable, so the
+        state goes in through the checkpoint surfaces)."""
+        source = self.src(width)
+        batch = BatchSimulator(source, lanes=self.LANES, backend=backend)
+        scalars = [Simulator(source) for _ in range(self.LANES)]
+        rows, cycle = batch.export_state()
+        state = {}
+        for name in self.SWAP + self.ROTATION:
+            state[name] = [rng.randrange(1, 1 << width) for _ in range(self.LANES)]
+            rows[batch.bundle.signal_slots[name]] = state[name]
+        batch.import_state(rows, cycle)
+        for lane, scalar in enumerate(scalars):
+            checkpoint = scalar.snapshot()
+            for name, values in state.items():
+                checkpoint.values[scalar.bundle.signal_slots[name]] = values[lane]
+            scalar.restore(checkpoint)
+        return batch, scalars, state
+
+    def assert_holds(self, batch, scalars, swap, rotation):
+        """The batch shows exactly ``swap`` / ``rotation``, and every lane
+        agrees with its scalar reference."""
+        names = self.SWAP + self.ROTATION
+        got = [batch.peek(f"o_{name}") for name in names]
+        assert got == swap + rotation
+        for lane, scalar in enumerate(scalars):
+            assert [scalar.peek(f"o_{name}") for name in names] == [
+                row[lane] for row in got
+            ]
+
+    @pytest.mark.parametrize("width", (8, 65, 128))
+    @pytest.mark.parametrize("backend", ("auto", "python"))
+    def test_swap_and_rotation_step(self, backend, width, rng):
+        batch, scalars, state = self.seeded(width, backend, rng)
+        swap = [state[name] for name in self.SWAP]
+        rotation = [state[name] for name in self.ROTATION]
+        for _ in range(4):
+            self.assert_holds(batch, scalars, swap, rotation)
+            batch.step()
+            for scalar in scalars:
+                scalar.step()
+            swap = swap[::-1]
+            rotation = rotation[-1:] + rotation[:-1]
+
+    @pytest.mark.parametrize("width", (8, 65))
+    @pytest.mark.parametrize("backend", ("auto", "python"))
+    def test_swap_and_rotation_step_domain(self, backend, width, rng):
+        batch, scalars, state = self.seeded(width, backend, rng)
+        swap = [state[name] for name in self.SWAP]
+        rotation = [state[name] for name in self.ROTATION]
+        for domain in ("clock", "clk2", "clk2", "clock", "clk2"):
+            batch.step_domain(domain)
+            for scalar in scalars:
+                scalar.step_domain(domain)
+            if domain == "clock":
+                swap = swap[::-1]
+            else:
+                rotation = rotation[-1:] + rotation[:-1]
+            self.assert_holds(batch, scalars, swap, rotation)
+
+
 class TestSnapshotRestore:
     def test_scalar_snapshot_roundtrip(self, counter_src):
         simulator = Simulator(counter_src)
@@ -289,7 +377,7 @@ class TestWideDesigns:
     )
 
     @pytest.mark.skipif(not HAS_NUMPY, reason="NumPy not installed")
-    @pytest.mark.parametrize("backend", ("auto", "u64xN", "object"))
+    @pytest.mark.parametrize("backend", ("auto", "u64xN", "python"))
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_wide_backend_lockstep(self, kernel, backend, rng):
         lanes = 3

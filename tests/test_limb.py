@@ -13,6 +13,8 @@ import pytest
 
 from repro.batch import BatchSimulator, HAS_NUMPY, pick_backend
 from repro.batch.backend import (
+    BACKENDS,
+    alloc_values,
     combine_limbs,
     limb_layout,
     limbs_for_width,
@@ -146,12 +148,49 @@ class TestLimbLayout:
             assert piece.start == layout.offsets[slot]
 
 
+class TestOneNumpyPlane:
+    """``u64`` is the one-limb case of ``u64xN``: one allocator, one
+    layout, and no third NumPy plane."""
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="NumPy not installed")
+    def test_narrow_design_planes_are_equal(self, mixed_bundle):
+        assert supports_u64(mixed_bundle)
+        layout = limb_layout(mixed_bundle)
+        assert layout.offsets == list(range(mixed_bundle.num_slots))
+        assert layout.total_rows == mixed_bundle.num_slots
+        plain = alloc_values(mixed_bundle, 3, "u64")
+        limbed = alloc_values(mixed_bundle, 3, "u64xN")
+        assert plain.dtype == limbed.dtype and plain.shape == limbed.shape
+        assert (plain == limbed).all()
+        assert plain.any()  # register inits / constants made it in
+
+    def test_one_wide_slot_keeps_narrow_slots_at_one_row(self):
+        bundle = Simulator(wide_alu_src(65)).bundle
+        layout = limb_layout(bundle)
+        wide = [slot for slot, width in enumerate(bundle.slot_width) if width > 64]
+        assert wide and len(wide) < bundle.num_slots
+        for slot, width in enumerate(bundle.slot_width):
+            assert layout.limbs[slot] == (1 if width <= 64 else -(-width // 64))
+        assert layout.total_rows == sum(layout.limbs)
+        assert layout.rows_of(wide[:1]) == [
+            layout.offsets[wide[0]] + limb for limb in range(layout.limbs[wide[0]])
+        ]
+
+    def test_object_backend_is_gone(self, counter_src):
+        assert BACKENDS == ("u64", "u64xN", "python")
+        with pytest.raises(KeyError, match="u64, u64xN, python"):
+            BatchSimulator(counter_src, lanes=2, backend="object")
+
+
 class TestBackendSelection:
     @pytest.mark.skipif(not HAS_NUMPY, reason="NumPy not installed")
     def test_auto_prefers_limbs_over_object(self):
+        """A wide design stays on the NumPy plane; it never degrades to
+        the list-of-lists one while NumPy is there."""
         sha3 = compile_named_design("sha3")
         assert not supports_u64(sha3)
         assert pick_backend(sha3, "auto") == "u64xN"
+        assert pick_backend(sha3, "python") == "python"  # on request only
 
     @pytest.mark.skipif(not HAS_NUMPY, reason="NumPy not installed")
     def test_u64xn_allowed_on_narrow_design(self, counter_src):
@@ -178,11 +217,6 @@ class TestBoundaryWidths:
     def test_u64xn_lockstep(self, width, kernel, rng):
         batch = assert_wide_lockstep(width, kernel, "u64xN", rng)
         assert batch.backend == "u64xN"
-
-    @pytest.mark.parametrize("width", (64, 65))
-    def test_object_reference_lockstep(self, width, rng):
-        batch = assert_wide_lockstep(width, "PSU", "object", rng)
-        assert batch.backend == "object"
 
     def test_u64_vs_u64xn_on_narrow_design(self, mixed_src, rng):
         """On a design that fits u64, both native backends agree lane-wise."""
@@ -243,7 +277,7 @@ class TestSha3FastPath:
     @pytest.mark.parametrize("executor", ("serial", "thread"))
     def test_sharded_sha3_stays_on_fast_path(self, executor, rng):
         """Sharded wide design: partitions resolve to native-width planes
-        (u64 or u64xN, never object) and stay bit-exact vs scalar."""
+        (u64 or u64xN, never python) and stay bit-exact vs scalar."""
         graph = compiled_graph("sha3")
         bundle = compile_named_design("sha3")
         lanes = 2
@@ -424,17 +458,17 @@ class TestLimbCheckpointing:
 
     def test_snapshot_rejects_other_backend(self):
         batch = self._driven()
-        other = BatchSimulator(self.SRC, lanes=2, backend="object")
+        other = BatchSimulator(self.SRC, lanes=2, backend="python")
         with pytest.raises(ValueError):
             other.restore(batch.snapshot())
 
     def test_export_import_is_backend_portable(self):
         """Exported state is slot-indexed ints: a u64xN plane reloads
-        into an object-backend simulator bit-exactly."""
+        into a python-backend simulator bit-exactly."""
         batch = self._driven()
         rows, cycle = batch.export_state()
         assert len(rows) == batch.bundle.num_slots  # slot-indexed, not limb rows
-        other = BatchSimulator(self.SRC, lanes=2, backend="object")
+        other = BatchSimulator(self.SRC, lanes=2, backend="python")
         other.import_state(rows, cycle)
         for name in WIDE_OUTPUTS:
             assert other.peek(name) == batch.peek(name)
@@ -523,13 +557,6 @@ class TestPopcountParity:
         assert native(values).tolist() == expected
         assert fallback(values).dtype == np.uint64
 
-    def test_object_mode_unbounded(self):
-        import numpy as np
-
-        pop = popcount_parity(np, object_mode=True)
-        values = np.array([(1 << 200) - 1, 1 << 199, 0], dtype=object)
-        assert [int(v) for v in pop(values)] == [0, 1, 0]
-
 
 # ----------------------------------------------------------------------
 # Perf gate: missing/zero metrics and backend-keyed rows
@@ -586,9 +613,9 @@ class TestPerfGate:
         fast = {"design": "sha3", "kernel": "SU", "lanes": 64,
                 "backend": "u64xN", "batch_lane_cps": 30000.0}
         slow = {"design": "sha3", "kernel": "SU", "lanes": 64,
-                "backend": "object", "batch_lane_cps": 7000.0}
+                "backend": "python", "batch_lane_cps": 7000.0}
         assert gate.row_key(fast) != gate.row_key(slow)
-        # A u64xN current row must not gate against the object baseline:
+        # A u64xN current row must not gate against the python baseline:
         # no comparable rows -> pass.
         assert gate.gate(self._payload([slow]), self._payload([fast]), 5.0) == 0
 

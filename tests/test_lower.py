@@ -230,11 +230,10 @@ def _emitted(kind: str, design: str) -> str:
 
         return emit_c(program)
     if kind == "sucodegen":
-        from repro.batch.backend import limb_layout, supports_u64
+        from repro.batch.backend import limb_layout
         from repro.batch.kernels import _codegen_statements
 
-        layout = None if supports_u64(bundle) else limb_layout(bundle)
-        return "\n".join(_codegen_statements(bundle, layout))
+        return "\n".join(_codegen_statements(bundle, limb_layout(bundle)))
     from repro.kernels.expr import python_expr
 
     consts = program.const_values()

@@ -2,7 +2,7 @@
 corner operands, independent of any design.
 
 The op table (:mod:`repro.graph.opsem`) says what each op means once;
-each *target* (Python ints, the NumPy single-row tables, the split-limb
+each *target* (Python ints, the NumPy single-row table, the split-limb
 table, layer-blocked groups, and the Python / NumPy / C source dialects)
 only implements the primitives.  This matrix pins every (op, target)
 pair to the FIRRTL reference evaluators of :mod:`repro.firrtl.primops`
@@ -322,17 +322,6 @@ def u64_column(np, target):
     return column
 
 
-def object_column(np, target):
-    table = bind_table(target)
-
-    def column(cases):
-        for op, widths, ow, lanes in cases:
-            result = table[op](_rows(np, lanes, object), widths, ow)
-            yield [int(value) for value in np.broadcast_to(result, (len(lanes),))]
-
-    return column
-
-
 def limb_column(np, target):
     table = bind_table(target, fit_all=True)
 
@@ -442,13 +431,13 @@ def c_columns(np, dialect, prelude):
 
 SCALAR_COLUMNS = ("int", "python-dialect", "python-dialect-inlined")
 NUMPY_COLUMNS = (
-    "numpy-dialect", "numpy-dialect-inlined", "u64-table", "object-table",
-    "limb-table", "blocked-group",
+    "numpy-dialect", "numpy-dialect-inlined", "u64-table", "limb-table",
+    "blocked-group",
 )
 C_COLUMNS = ("c-dialect", "c-dialect-inlined")
 
 
-def make_columns(int_target=INT, python=PYTHON, numpy=NUMPY, u64=None, wide=None,
+def make_columns(int_target=INT, python=PYTHON, numpy=NUMPY, u64=None,
                  limb=None, c=None, prelude=cbackend._PRELUDE, with_c=True):
     """Every column that can run here, by name, over the given targets."""
     columns = {
@@ -464,7 +453,6 @@ def make_columns(int_target=INT, python=PYTHON, numpy=NUMPY, u64=None, wide=None
         "numpy-dialect": numpy_dialect_column(np, numpy, u64, inline=False),
         "numpy-dialect-inlined": numpy_dialect_column(np, numpy, u64, inline=True),
         "u64-table": u64_column(np, u64),
-        "object-table": object_column(np, wide or numpy_target(np, object_mode=True)),
         "limb-table": limb_column(np, limb or limb_target(np)),
         "blocked-group": blocked_column(np, u64),
     })
@@ -601,9 +589,6 @@ BREAKS = {
     "u64 target": (  # generated NumPy code calls this target's _dshl, too
         lambda np: {"u64": _early_target(numpy_target(np))},
         {"u64-table", "blocked-group", "numpy-dialect"}),
-    "object target": (
-        lambda np: {"wide": _early_target(numpy_target(np, object_mode=True))},
-        {"object-table"}),
     "limb target": (
         lambda np: {"limb": _early_target(limb_target(np))}, {"limb-table"}),
     "c dialect": (
