@@ -68,9 +68,9 @@ SPARSE_FLOOR_MIN_SKIP = 0.5
 SHM_FLOOR_MIN_PARTITIONS = 2
 
 #: Floor rule for the compiled C batch backend: at or above this many
-#: lanes, a row recording ``compiled_speedup`` (compiled vs the SU NumPy
-#: codegen kernel, same host and process) must stay at or above 1x --
-#: the compiled pass may never lose to the kernel it replaces.  Rows
+#: lanes, a row recording ``compiled_speedup`` (compiled vs the NumPy
+#: walk, same host and process) must stay at or above 1x -- the compiled
+#: pass may never lose to the kernel it falls back to.  Rows
 #: below the lane threshold are informational (tiny batches measure
 #: dispatch overhead, not the pass).
 COMPILED_FLOOR_MIN_LANES = 8
@@ -146,7 +146,7 @@ def compiled_floor(current: dict, floor: float = 1.0) -> Tuple[int, list]:
     Per design, among current rows with a ``compiled_speedup`` at
     :data:`COMPILED_FLOOR_MIN_LANES` lanes or more, the best ratio must
     be at least ``floor``.  Absolute, not baseline-relative: the
-    compiled and SU arms ran on the same host in the same process, so
+    compiled and walk arms ran on the same host in the same process, so
     their ratio is host-independent in a way lane-cycles/sec is not.
     Hosts without a toolchain record no ``compiled_speedup`` rows and
     run zero checks here.

@@ -30,7 +30,7 @@ circuit Blinky :
 """
 
 # Vector dispatch amortises with B: tiny designs like this one need a
-# wide batch before one NumPy pass beats the (very cheap) scalar SU loop.
+# wide batch before one NumPy walk beats the (very cheap) scalar SU loop.
 LANES = 64
 CYCLES = 2000
 
@@ -39,7 +39,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. One poke drives all lanes: scalars broadcast, lists are per-lane.
     # ------------------------------------------------------------------
-    batch = BatchSimulator(FIRRTL, lanes=LANES, kernel="SU")
+    batch = BatchSimulator(FIRRTL, lanes=LANES, kernel="PSU")
     print(f"engine: {batch.kernel.name} (style={batch.kernel.style})")
     batch.poke("reset", 0)
     batch.poke("speed", [lane % 16 for lane in range(LANES)])  # lane i: speed=i%16

@@ -18,7 +18,7 @@ regression sweeps and design-space exploration.
     from repro.batch import BatchSimulator
     from repro.workloads.stimulus import batched_workload_for
 
-    sim = BatchSimulator("rocket-1 FIRRTL or bundle...", lanes=64, kernel="SU")
+    sim = BatchSimulator("rocket-1 FIRRTL or bundle...", lanes=64)
     workload = batched_workload_for("rocket-1", lanes=64)   # one seed per lane
     for cycle in range(1000):
         workload.apply(sim, cycle)          # pokes per-lane input vectors
@@ -28,12 +28,11 @@ regression sweeps and design-space exploration.
 Execution styles and backends
 -----------------------------
 
-Two batched kernels are lowered from the existing ``OimBundle``
-(:mod:`repro.batch.kernels`): a vectorised RU-style map/reduce *walk*
-over the optimized OIM format (kernel names ``RU``/``OU``/``NU``/
-``PSU``/``IU``), and a straight-line SU/TI-style *codegen* variant whose
-generated statements are NumPy lane-vector expressions (``SU``/``TI``).
-A third style, ``activity`` (``kernel="activity"`` or
+The batched NumPy kernel (:mod:`repro.batch.kernels`) is a vectorised
+RU-style map/reduce *walk* over the shared lowered program; every scalar
+kernel name (``RU`` ... ``TI``) selects it.  ``kernel="compiled"`` swaps
+in the compiled C pass where a toolchain exists.  A second style,
+``activity`` (``kernel="activity"`` or
 ``"activity:PSU"``), drives the walk from the per-cycle toggled-value
 fiber with per-lane activity masks and lane compaction
 (:class:`repro.batch.kernels.BatchActivityKernel`): sparsely-active
@@ -59,7 +58,6 @@ designs, kernels, and backends.
 from .backend import BACKENDS, HAS_NUMPY, pick_backend
 from .kernels import (
     BatchActivityKernel,
-    BatchCodegenKernel,
     BatchKernel,
     BatchPyKernel,
     BatchWalkKernel,
@@ -70,7 +68,6 @@ from .simulator import BatchSimulator, BatchSnapshot
 __all__ = [
     "BACKENDS",
     "BatchActivityKernel",
-    "BatchCodegenKernel",
     "BatchKernel",
     "BatchPyKernel",
     "BatchSimulator",

@@ -29,7 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..graph.opsem import NATIVE, RELATIONS, Target
 from ..oim.builder import OimBundle
@@ -226,7 +226,7 @@ def write_slot(
 
 
 # ----------------------------------------------------------------------
-# The NumPy single-row target (shared by the walk and codegen kernels)
+# The NumPy single-row target (narrow rows of the walk and activity kernels)
 # ----------------------------------------------------------------------
 def popcount_parity(np):
     """A bit-exact lane-wise popcount-parity function (``xorr``) over
@@ -270,8 +270,8 @@ def numpy_target(np) -> Target:
 
     def guarded(divide):
         def primitive(x, y, *_widths):
-            # Generated code inlines a constant divisor as a Python int,
-            # which would otherwise drag the quotient to float64.
+            # A divisor passed as a Python int would otherwise drag the
+            # quotient to float64.
             y = np.asarray(y, np.uint64)
             nonzero = y != 0
             return np.where(nonzero, divide(x, np.where(nonzero, y, 1)), 0)
@@ -302,18 +302,3 @@ def numpy_target(np) -> Target:
         parity=popcount_parity(np),
         fit=lambda x, ow: x & mask_of(ow),
     )
-
-
-def codegen_namespace(target: Target) -> Dict[str, object]:
-    """The globals of generated NumPy code: the helper names the NumPy
-    dialect (:class:`repro.graph.opsem.Dialect`) spells, bound to the
-    primitives of a :func:`numpy_target`."""
-    return {
-        "_where": target.select,
-        "_div": target.div,
-        "_rem": target.rem,
-        "_dshl": target.shl,
-        "_dshr": target.shr,
-        "_head": target.head,
-        "_pop": target.parity,
-    }

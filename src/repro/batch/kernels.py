@@ -1,25 +1,20 @@
 """Executable batched kernels: one OIM pass evaluates B lanes.
 
-Two kernels are lowered from the existing :class:`OimBundle`, mirroring
-the scalar spectrum of Section 5.2 with the lane rank vectorised away:
-
-* :class:`BatchWalkKernel` -- a vectorised RU/OU-style map/reduce walk
-  over the NumPy plane (:mod:`repro.batch.backend`).  It traverses the
-  shared program's dependence layers as the scalar ``RUKernel`` does,
-  but every operand fetch pulls lane vectors and every compute operator
-  applies across all B lanes at once (the op table bound to a NumPy
-  target, :mod:`repro.batch.vecsem`) -- and across the S rank too:
-  same-op records of a layer whose operand and result widths all fit 64
-  bits are gathered into one ``(k, B)`` call of the single-row
-  evaluator.  Only genuinely wide operations take the carry-propagating
-  limb evaluators, so a design with a handful of 65-bit slots pays limb
-  arithmetic for exactly those slots, and a design with none (the
-  ``u64`` plane: one limb per slot) pays none.
-* :class:`BatchCodegenKernel` -- a straight-line SU/TI-style variant:
-  the OIM is fully embedded in generated Python whose expressions are
-  NumPy lane-vector operations (:func:`repro.kernels.expr.numpy_expr`).
-  Narrow operations address single limb rows, wide ones assign limb-row
-  slices from :func:`repro.kernels.expr.numpy_limb_expr` calls.
+:class:`BatchWalkKernel` is the NumPy kernel: a vectorised RU/OU-style
+map/reduce walk over the NumPy plane (:mod:`repro.batch.backend`).  It
+traverses the shared program's dependence layers as the scalar
+``RUKernel`` does, but every operand fetch pulls lane vectors and every
+compute operator applies across all B lanes at once (the op table bound
+to a NumPy target, :mod:`repro.batch.vecsem`) -- and across the S rank
+too: same-op records of a layer whose operand and result widths all fit
+64 bits are gathered into one ``(k, B)`` call of the single-row
+evaluator.  Only genuinely wide operations take the carry-propagating
+limb evaluators, so a design with a handful of 65-bit slots pays limb
+arithmetic for exactly those slots, and a design with none (the ``u64``
+plane: one limb per slot) pays none.  Every scalar configuration name
+(``RU`` ... ``TI``) runs it: keeping the OIM in data and dispatching per
+(layer, op) beats embedding it in generated NumPy statements at every
+measured design and batch size.
 
 :class:`BatchPyKernel` is the pure-Python list-of-lists fallback used
 when NumPy is absent: the per-record walk, evaluated lane by lane with
@@ -33,37 +28,27 @@ pass for the compiled C translation unit of
 falling back to the walk kernel when no toolchain (or no one-limb
 ``u64`` plane) is available.
 
-No kernel here knows what an op means: every evaluator and every
-generated expression is the one op table (:mod:`repro.graph.opsem`)
-bound to this backend's target or spelled in its dialect.
+No kernel here knows what an op means: every evaluator is the one op
+table (:mod:`repro.graph.opsem`) bound to this backend's target, and
+the C pass spells it in the C dialect.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 from ..kernels.config import KernelConfig, get_kernel_config
-from ..kernels.expr import numpy_expr, numpy_limb_expr
 from ..kernels.fiberwalk import PendingLayers
-from ..kernels.pykernels import CODEGEN_CHUNK
 from ..lower.cbackend import CBackendUnavailable, compiled_comb
 from ..lower.plan import is_narrow as _is_narrow
 from ..lower.plan import limb_plan
 from ..lower.program import cached_program
 from ..oim.builder import OimBundle
-from .backend import (
-    codegen_namespace,
-    limb_layout,
-    numpy_or_none,
-    numpy_target,
-    pick_backend,
-)
+from .backend import limb_layout, numpy_or_none, pick_backend
 from .vecsem import make_limb_table, make_vec_table
 
 #: Kernel styles (how the OIM pass is executed), orthogonal to backends.
-WALK, CODEGEN, PYTHON, ACTIVITY = "walk", "codegen", "python", "activity"
-COMPILED = "compiled"
+WALK, PYTHON, ACTIVITY, COMPILED = "walk", "python", "activity", "compiled"
 
 
 class BatchKernel:
@@ -414,108 +399,6 @@ class BatchActivityKernel(BatchKernel):
         self._last = self._leaf_block(values)
 
 
-class BatchCodegenKernel(BatchKernel):
-    """Straight-line SU-style code over lane vectors (the NumPy plane).
-
-    Every operation becomes one generated statement ``V[s] = <numpy
-    expression>``; like the scalar SU kernel the OIM is fully embedded in
-    the code, and like TI the guarded helpers keep the hot loop free of
-    Python-level branching.  Bool comparison results are normalised by
-    the uint64 row assignment itself.
-
-    The generated code is limb-aware: narrow statements index single
-    limb rows (``V[17] = ...``) with constants inlined, while wide
-    statements assign limb-row slices from split-limb evaluator calls
-    (``V[40:42] = _limb_mul((V[12:13], V[38:39]), (64, 1), 65)``); wide
-    constant operands are read from their preloaded limb rows.
-    """
-
-    style = CODEGEN
-
-    def __init__(
-        self, bundle: OimBundle, config: KernelConfig, lanes: int, backend: str
-    ) -> None:
-        if backend == "python":
-            raise ValueError(
-                "the batched codegen kernel needs the NumPy plane "
-                f"('u64' or 'u64xN'); got {backend!r}"
-            )
-        super().__init__(bundle, config, lanes, backend)
-        self._functions = _compile_batch_chunks(
-            _cached_codegen_statements(bundle, limb_layout(bundle), backend)
-        )
-
-    def eval_comb(self, values) -> None:
-        for function in self._functions:
-            function(values)
-
-
-def _codegen_statements(bundle: OimBundle, layout) -> List[str]:
-    """The SU/TI statement list: one generated line per program row."""
-    program = cached_program(bundle)
-    const_values = program.const_values()
-    op_names = program.op_names
-    offsets, slices = layout.offsets, layout.slices
-    statements: List[str] = []
-    for n, s, operands, widths, out_width in program.records():
-        if _is_narrow(widths, out_width):
-            args = [
-                str(const_values[r]) if r in const_values else f"V[{offsets[r]}]"
-                for r in operands
-            ]
-            expression = numpy_expr(op_names[n], args, widths, out_width)
-            statements.append(f"    V[{offsets[s]}] = {expression}")
-        else:
-            args = [f"V[{slices[r].start}:{slices[r].stop}]" for r in operands]
-            expression = numpy_limb_expr(op_names[n], args, widths, out_width)
-            statements.append(
-                f"    V[{slices[s].start}:{slices[s].stop}] = {expression}"
-            )
-    return statements
-
-
-def _cached_codegen_statements(
-    bundle: OimBundle, layout, backend: str
-) -> List[str]:
-    """Statement generation through the :mod:`repro.serve` artifact
-    cache (kind ``sucodegen``), keyed by the program fingerprint and the
-    plane backend (the limb layout changes what the statements index).
-    Lane count does not enter: statements address rows, not lanes.
-    """
-    from ..serve import artifacts
-
-    if artifacts.get_cache() is None:
-        return _codegen_statements(bundle, layout)
-    program = cached_program(bundle)
-    digest = hashlib.sha256(
-        f"sucodegen:{program.fingerprint}:{backend}".encode()
-    ).hexdigest()
-    return artifacts.cache_through(
-        "sucodegen", digest, lambda: _codegen_statements(bundle, layout)
-    )
-
-
-def _compile_batch_chunks(statements: List[str]) -> List[Callable]:
-    """Chunked compile (as the scalar SU kernel) with the vector helpers
-    and the split-limb evaluators (``_limb_<op>``) available as globals
-    of the generated functions."""
-    np = numpy_or_none()
-    helpers = codegen_namespace(numpy_target(np))
-    helpers.update(
-        (f"_limb_{name}", fn) for name, fn in make_limb_table(np).items()
-    )
-    functions: List[Callable] = []
-    for start in range(0, max(len(statements), 1), CODEGEN_CHUNK):
-        chunk = statements[start:start + CODEGEN_CHUNK]
-        name = f"bsu_chunk_{start // CODEGEN_CHUNK}"
-        body = "\n".join(chunk) if chunk else "    pass"
-        namespace: Dict[str, object] = dict(helpers)
-        code = compile(f"def {name}(V):\n{body}\n", f"<batch-kernel:{name}>", "exec")
-        exec(code, namespace)
-        functions.append(namespace[name])  # type: ignore[index]
-    return functions
-
-
 class CompiledBatchKernel(BatchKernel):
     """The compiled C pass (``kernel="compiled"``): one shared-object
     call evaluates the whole straight-line program for every lane.
@@ -547,15 +430,6 @@ class CompiledBatchKernel(BatchKernel):
         self._comb(values)
 
 
-#: Scalar kernel configurations mapped onto batched execution styles.
-#: Rolled-side configs keep the OIM in data (the walk); the fully
-#: unrolled SU/TI configs embed it in generated code.
-_STYLE_OF_CONFIG: Dict[str, str] = {
-    "RU": WALK, "OU": WALK, "NU": WALK, "PSU": WALK, "IU": WALK,
-    "SU": CODEGEN, "TI": CODEGEN,
-}
-
-
 def make_batch_kernel(
     bundle: OimBundle,
     config: KernelConfig | str,
@@ -563,6 +437,10 @@ def make_batch_kernel(
     backend: str = "auto",
 ) -> BatchKernel:
     """Instantiate the batched kernel for a configuration and backend.
+
+    Every scalar configuration name (``RU`` ... ``TI``) runs the walk:
+    :class:`BatchWalkKernel` on the NumPy plane, :class:`BatchPyKernel`
+    on ``python``; the name only labels the kernel.
 
     ``backend`` is resolved via :func:`repro.batch.backend.pick_backend`;
     without NumPy every request transparently degrades to the
@@ -577,10 +455,10 @@ def make_batch_kernel(
     ``"compiled"`` selects the compiled C pass
     (:class:`CompiledBatchKernel`).  When the design needs more than the
     one-limb ``u64`` plane or no C toolchain (and no cached shared
-    object) is available, the factory degrades to the walk kernel -- the
-    fastest NumPy kernel -- and records why on the returned kernel's
-    ``compiled_fallback`` attribute: like a missing NumPy, a missing
-    compiler is a property of the environment, not a user error.
+    object) is available, the factory degrades to the walk kernel and
+    records why on the returned kernel's ``compiled_fallback``
+    attribute: like a missing NumPy, a missing compiler is a property of
+    the environment, not a user error.
     """
     activity = False
     compiled = False
@@ -619,7 +497,4 @@ def _dispatch_kernel(
         return BatchActivityKernel(bundle, config, lanes, backend)
     if backend == "python":
         return BatchPyKernel(bundle, config, lanes, backend)
-    style = _STYLE_OF_CONFIG.get(config.name, WALK)
-    if style == CODEGEN:
-        return BatchCodegenKernel(bundle, config, lanes, backend)
     return BatchWalkKernel(bundle, config, lanes, backend)

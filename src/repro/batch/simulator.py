@@ -68,8 +68,8 @@ class BatchSimulator:
         Number of independent stimulus lanes (B).
     kernel:
         Scalar kernel configuration name or :class:`KernelConfig`;
-        RU...IU map onto the vectorised walk kernel, SU/TI onto the
-        straight-line NumPy codegen kernel.  ``"activity"`` (or
+        every one (RU...TI) runs the vectorised walk kernel, and
+        ``"compiled"`` the compiled C pass.  ``"activity"`` (or
         ``"activity:PSU"`` etc.) selects the batched activity cascade:
         a fiber-driven walk with per-lane activity masks and lane
         compaction, valid at any B and on every backend -- without

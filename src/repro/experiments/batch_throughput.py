@@ -25,7 +25,7 @@ from .common import format_table
 
 #: Defaults keep the CLI run quick; benchmarks pass larger values.
 DEFAULT_DESIGNS: Tuple[str, ...] = ("rocket-1", "sha3")
-DEFAULT_KERNELS: Tuple[str, ...] = ("PSU", "SU")
+DEFAULT_KERNELS: Tuple[str, ...] = ("PSU",)
 DEFAULT_LANES: Tuple[int, ...] = (8, 64)
 DEFAULT_CYCLES = 48
 
@@ -127,19 +127,20 @@ def throughput_rows(
 
 def attach_compiled_speedup(row_dicts: List[Dict[str, object]]) -> List[Dict[str, object]]:
     """Annotate compiled-kernel row dicts with ``compiled_speedup``: the
-    ratio over the SU NumPy codegen kernel at the same (design, B,
-    backend) -- the metric the perf gate's compiled floor enforces.
-    Rows whose compiled request fell back (style != "compiled") are left
-    unannotated; they measured the fallback, not the C pass."""
-    su = {
+    ratio over the ``PSU`` walk -- the kernel ``kernel="compiled"`` falls
+    back to -- at the same (design, B, backend); the metric the perf
+    gate's compiled floor enforces.  Rows whose compiled request fell
+    back (style != "compiled") are left unannotated; they measured the
+    fallback, not the C pass."""
+    walk = {
         (d["design"], d["lanes"], d["backend"]): float(d["batch_lane_cps"])
         for d in row_dicts
-        if d["kernel"] == "SU" and d["batch_lane_cps"]
+        if d["kernel"] == "PSU" and d["batch_lane_cps"]
     }
     for d in row_dicts:
         if d["kernel"] != "compiled" or d.get("style") != "compiled":
             continue
-        base = su.get((d["design"], d["lanes"], d["backend"]))
+        base = walk.get((d["design"], d["lanes"], d["backend"]))
         if base:
             d["compiled_speedup"] = float(d["batch_lane_cps"]) / base
     return row_dicts

@@ -15,8 +15,8 @@ other module knows what ``dshl`` means.  Each way of running an op is a
   columns;
 * NumPy split limbs -- :func:`repro.batch.vecsem.limb_target`;
 * source text -- :class:`Dialect`, below: a target whose primitives spell
-  expressions, in three dialects -- NumPy (the base class), Python
-  (:mod:`repro.kernels.expr`) and C (:mod:`repro.lower.cbackend`).
+  expressions, in two dialects -- Python (:mod:`repro.kernels.expr`) and
+  C (:mod:`repro.lower.cbackend`).
 
 :func:`bind_table` resolves a target once, when a table is built; nothing
 dispatches on the target per call.  ``firrtl/primops.py`` keeps its own
@@ -296,9 +296,10 @@ def bind_table(target, fit_all: bool = False) -> Dict[str, Evaluator]:
 class Dialect:
     """The source renderer: a target whose values are expression strings.
 
-    The base class spells the NumPy dialect over ``uint64`` lane vectors
-    (the guarded helpers it calls are the NumPy target's own primitives,
-    :func:`repro.batch.backend.codegen_namespace`); a subclass overrides
+    The base class holds the spellings shared by the dialects that
+    subclass it -- :class:`repro.kernels.expr.PythonDialect` and
+    :class:`repro.lower.cbackend.CDialect` -- with guarded primitives
+    spelled as calls to ``prefix``-named helpers; each subclass overrides
     the spellings that differ.  Constant operands arrive as literals, so
     shift amounts fold at render time wherever the dialect's word size
     makes an unguarded shift unsafe.

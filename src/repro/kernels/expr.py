@@ -1,11 +1,11 @@
-"""Per-operation expression code generation: the Python and NumPy dialects.
+"""Per-operation expression code generation: the Python dialect.
 
-Shared by the unrolled Python kernels (IU/SU/TI), the batched SU codegen
-kernel and the baseline backends.  Given an operation, operand expressions,
-operand widths and the output width, produce a source-level expression
-string.  What an op *means* comes from the one table in
-:mod:`repro.graph.opsem`; this module only holds how two dialects of its
-:class:`~repro.graph.opsem.Dialect` renderer spell the primitives (the C
+Shared by the unrolled Python kernels (IU/SU/TI) and the baseline
+backends.  Given an operation, operand expressions, operand widths and
+the output width, produce a source-level expression string.  What an op
+*means* comes from the one table in :mod:`repro.graph.opsem`; this module
+only holds how the Python dialect of its
+:class:`~repro.graph.opsem.Dialect` renderer spells the primitives (the C
 dialect lives next to the prelude it calls, in :mod:`repro.lower.cbackend`).
 
 Constant operands (FIRRTL static parameters) are inlined by callers before
@@ -60,7 +60,6 @@ class PythonDialect(Dialect):
 
 
 PYTHON = PythonDialect()
-NUMPY = Dialect()
 
 
 def needs_mask(op: str) -> bool:
@@ -74,38 +73,3 @@ def python_expr(
 ) -> str:
     """Render one operation as a Python expression over ``args`` strings."""
     return PYTHON.render(op, args, widths, out_width)
-
-
-def numpy_expr(
-    op: str, args: Sequence[str], widths: Sequence[int], out_width: int
-) -> str:
-    """Render one operation as a NumPy expression over lane-vector ``args``.
-
-    Used by the batched straight-line kernel (:mod:`repro.batch.kernels`):
-    each arg names a uint64 lane vector (one row of the batched value
-    plane), so Python conditionals become ``_where`` and the data-dependent
-    or shift-guarded operations call helpers (``_div``, ``_rem``, ``_dshl``,
-    ``_dshr``, ``_head``, ``_pop``) that the kernel injects into the
-    generated namespace.  Only valid when every operand and result width
-    fits uint64; wider operations render through :func:`numpy_limb_expr`.
-    """
-    return NUMPY.render(op, args, widths, out_width)
-
-
-def numpy_limb_expr(
-    op: str, args: Sequence[str], widths: Sequence[int], out_width: int
-) -> str:
-    """Render one >64-bit operation as a split-limb evaluator call.
-
-    Used by the batched straight-line kernel on ``u64xN`` planes for the
-    (rare) statements whose operand or result widths exceed 64 bits: each
-    arg names a ``(limbs, B)`` slice of the flat limb-row plane
-    (``V[40:42]``), and the emitted expression calls the matching
-    ``_limb_<op>`` evaluator (:func:`repro.batch.vecsem.make_limb_table`)
-    that the kernel injects into the generated namespace.  The evaluator
-    applies the output-width mask itself, so no trailing mask is emitted.
-    """
-    get_semantics(op)  # unknown ops are rejected here, not at run time
-    arg_list = ", ".join(args) + ("," if len(args) == 1 else "")
-    width_list = ", ".join(str(w) for w in widths) + ("," if len(widths) == 1 else "")
-    return f"_limb_{op}(({arg_list}), ({width_list}), {out_width})"

@@ -1,13 +1,13 @@
 """The shared lowering pipeline: one OIM program, many executors.
 
 Every kernel family used to re-derive its own ad-hoc lowering of the OIM
-schedule (walk rows, fiber consumers, limb plans, codegen statements).
+schedule (walk rows, fiber consumers, limb plans, generated code).
 This package lowers a design **once** into an :class:`OimProgram` --
 dependence-levelled layers of typed ops with slot/width/operand
 metadata, leaf and commit tables, and a canonical fingerprint -- and
-every executor (the scalar walk kernels, the batched walk/codegen
-kernels, the activity cascade, the split-limb plan, and the compiled C
-backend) consumes that one program.
+every executor (the scalar walk and unrolled kernels, the batched walk,
+the activity cascade, the split-limb plan, and the compiled C backend)
+consumes that one program.
 
 Modules:
 

@@ -7,10 +7,10 @@ register allocator fuses chains of statements and eliminates common
 subexpression rows), wrapped in a loop over the B lanes with the NumPy
 ``(num_slots, B)`` value plane passed in as a raw pointer.  Each
 expression is the op table's meaning (:mod:`repro.graph.opsem`) spelled
-by :class:`CDialect` -- the same renderer, and so the same constant-shift
-folding and zero-width idioms, as the NumPy codegen kernel's dialect,
-with the guards in the prelude's ``r_*`` helpers; the op conformance
-matrix holds both to the FIRRTL reference.  Only u64-eligible designs
+by :class:`CDialect` -- the shared :class:`~repro.graph.opsem.Dialect`
+renderer in C spelling, so constant shifts fold at render time -- with
+the guards in the prelude's ``r_*`` helpers; the op conformance matrix
+holds it to the FIRRTL reference.  Only u64-eligible designs
 (every slot width <= 64) compile; wider designs keep the split-limb
 NumPy path.
 
@@ -21,7 +21,7 @@ plus the host triple and compile flags, so warm starts (and fleet
 members sharing a cache directory) load the ``.so`` bytes without
 invoking a compiler at all.  When no C toolchain is present,
 :class:`ToolchainUnavailable` is raised and callers fall back to the
-NumPy kernels -- the backend degrades, it never breaks.
+NumPy walk -- the backend degrades, it never breaks.
 
 This module imports no NumPy: toolchain probing and source emission must
 work (and report cleanly) in the no-NumPy environment too.
@@ -42,7 +42,7 @@ from typing import Dict, List, Optional
 from ..graph.opsem import Dialect
 from .program import OimProgram
 
-#: Rows per generated chunk function (mirrors the Python codegen chunking;
+#: Rows per generated chunk function (mirrors the scalar SU kernel's chunking;
 #: keeps single-function size sane for the C compiler on huge designs).
 C_CHUNK = 4000
 

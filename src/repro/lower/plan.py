@@ -3,9 +3,9 @@
 One program, one classification: :func:`is_narrow` decides which rows
 fit the single-``uint64``-row evaluators, and :func:`limb_plan` folds it
 into the declarative ``u64xN`` schedule, grouping a layer's same-op
-narrow rows into blocks.  The batched walk, the activity kernel and the
-SU codegen all consult the same predicate, so the narrow/wide split
-cannot drift between executors.
+narrow rows into blocks.  The batched walk and the activity kernel
+both consult the same predicate, so the narrow/wide split cannot drift
+between executors.
 """
 
 from __future__ import annotations

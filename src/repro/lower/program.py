@@ -5,7 +5,7 @@ dependence-levelled operation schedule in a flat, typed, picklable form,
 plus every table an executor needs (slot widths, constant preloads,
 input/output slots, register commits, leaf slots, the slot-to-consumer
 transpose) and a canonical SHA-256 fingerprint that keys derived
-artifacts (SU codegen statements, compiled shared objects).
+artifacts (compiled shared objects).
 
 The row shape is the tuple the walks consume --
 ``(n, s, operands, widths, out_width)`` with ``n`` the opcode index --
@@ -109,9 +109,9 @@ class OimProgram:
         """Canonical SHA-256 over everything that shapes execution.
 
         Stable across processes and hosts (plain ints/strings/tuples
-        only); keys every artifact derived from the program -- codegen
-        statement lists, compiled shared objects -- so "same fingerprint"
-        means "same generated code".
+        only); keys every artifact derived from the program -- the
+        compiled shared objects -- so "same fingerprint" means "same
+        generated code".
         """
         if self._fingerprint is None:
             hasher = hashlib.sha256()
@@ -237,7 +237,7 @@ def cached_program(bundle: OimBundle) -> OimProgram:
     The program is additionally memoised on the bundle instance: every
     kernel family lowers through here, so one design's construction asks
     for the same program several times per process (walk + activity +
-    codegen + compiled), and bundles are immutable once built.
+    compiled), and bundles are immutable once built.
     """
     program = getattr(bundle, "_repro_program", None)
     if program is not None:

@@ -15,7 +15,6 @@ content-addressed home on disk:
   (including refined-FM results), keyed by graph fingerprint x
   (P, strategy, max_replication, ...);
 * ``rum``       -- the derived :class:`RegisterUpdateMap`;
-* ``sucodegen`` -- the SU codegen kernel's generated statement list;
 * ``program``   -- the shared lowered :class:`~repro.lower.program.
   OimProgram` every kernel executes (walk layers, consumer transpose,
   leaf/commit tables; supersedes the pre-refactor ``oimwalk``/
@@ -70,8 +69,7 @@ DEFAULT_MAX_BYTES = 1 << 30
 
 #: Artifact kinds this schema knows; unknown kinds still round-trip, the
 #: tuple exists for ``ls`` grouping and docs.
-KINDS = ("graph", "bundle", "partition", "rum", "sucodegen", "program",
-         "cbin", "pgraph")
+KINDS = ("graph", "bundle", "partition", "rum", "program", "cbin", "pgraph")
 
 #: Name of the advisory lock file serialising mutating operations.
 LOCK_NAME = ".lock"
@@ -452,10 +450,11 @@ def design_fingerprint(graph, **params) -> str:
 
 
 def bundle_fingerprint(bundle, **params) -> str:
-    """Canonical hash of a lowered :class:`OimBundle` (SU-codegen key).
+    """Canonical hash of a lowered :class:`OimBundle` (keys the
+    ``program`` artifact).
 
     Covers the op-table vocabulary, the layered op records, slot widths,
-    and constant preloads -- exactly the inputs of statement generation.
+    and constant preloads.
     """
     base = getattr(bundle, "_repro_fingerprint_base", None)
     if base is None:

@@ -10,9 +10,9 @@ design and a stimulus seed it builds the whole engine matrix --
 * ``batch-*`` -- :class:`~repro.batch.BatchSimulator` on the design's
   value plane (the NumPy plane -- ``batch-u64`` for a narrow design,
   ``batch-u64xN`` for a wide one, the same walk either way -- or the
-  pure-Python fallback), plus an SU-codegen arm and -- when the
-  design fits u64 planes and a C toolchain is present -- the compiled
-  C batch backend (``batch-compiled``/``shard-compiled``);
+  pure-Python fallback), plus -- when the design fits u64 planes and
+  a C toolchain is present -- the compiled C batch backend
+  (``batch-compiled``/``shard-compiled``);
 * ``shard-*`` -- :class:`~repro.shard.ShardedBatchSimulator` across
   executors (serial, optionally process) and partitioner strategies
   (greedy, refined);
@@ -158,7 +158,6 @@ def _named_engines(kernel: str) -> Dict[str, tuple]:
     serial = {"executor": "serial", "partitioner": "greedy"}
     return {
         "scalar": ("scalar", {"kernel": kernel}),
-        "batch-su": ("batch", {"backend": "auto", "kernel": "SU"}),
         "batch-activity": (
             "batch", {"backend": "auto", "kernel": f"activity:{kernel}"}),
         "batch-compiled": ("batch", {"backend": "u64", "kernel": "compiled"}),
@@ -173,12 +172,14 @@ def _named_engines(kernel: str) -> Dict[str, tuple]:
 
 
 def spec_from_name(name: str, kernel: str = "PSU") -> EngineSpec:
-    """Build an :class:`EngineSpec` from its systematic name (``scalar``,
-    ``batch-<backend>``, ``batch-su``, ``shard-<executor>-<partitioner>``,
-    ...) -- how :func:`engine_matrix` builds its specs, and what lets a
-    repro command round-trip a custom engine list.
+    """Build an :class:`EngineSpec` from its name (``batch-<backend>``,
+    ``shard-<executor>-<partitioner>``, or a key of
+    :func:`_named_engines` such as ``scalar``) -- how
+    :func:`engine_matrix` builds its specs, and what lets a repro command
+    round-trip a custom engine list.
     """
-    named = _named_engines(kernel).get(name)
+    named_engines = _named_engines(kernel)
+    named = named_engines.get(name)
     if named is not None:
         kind, options = named
         return _spec(name, kind, **options)
@@ -190,10 +191,8 @@ def spec_from_name(name: str, kernel: str = "PSU") -> EngineSpec:
         return _spec(name, "shard", executor=executor,
                      partitioner=partitioner, kernel=kernel)
     raise KeyError(
-        f"unknown engine name {name!r}; expected scalar, batch-<backend>, "
-        "batch-su, batch-activity, batch-compiled, shard-activity, "
-        "shard-compiled, shard-socket, shard-shm, or "
-        "shard-<executor>-<partitioner>"
+        f"unknown engine name {name!r}; expected batch-<backend>, "
+        f"shard-<executor>-<partitioner>, or one of {', '.join(named_engines)}"
     )
 
 
@@ -216,7 +215,7 @@ def engine_matrix(
     if HAS_NUMPY:
         # One NumPy plane, one walk: a narrow design's plane is the
         # one-limb case, so a second backend arm would re-run the same code.
-        names += ["batch-u64" if narrow else "batch-u64xN", "batch-su"]
+        names.append("batch-u64" if narrow else "batch-u64xN")
         # The compiled C batch backend rides the matrix wherever it can
         # actually compile: u64-plane designs on hosts with a toolchain.
         # (Elsewhere `kernel="compiled"` falls back to the NumPy walk,

@@ -6,6 +6,7 @@ import pytest
 from repro.batch import BatchSimulator, HAS_NUMPY, pick_backend
 from repro.batch.backend import supports_u64
 from repro.designs.registry import compile_named_design
+from repro.kernels import ALL_KERNELS
 from repro.sim import Simulator
 from repro.workloads.stimulus import batched_workload_for
 
@@ -15,7 +16,9 @@ CYCLES = 24
 #: >=3 registry designs; sha3 has 65-bit slots, exercising the split-limb
 #: multi-limb rows of the NumPy plane (backend ``u64xN``).
 DESIGNS = ("rocket-1", "gemmini-8", "sha3")
-#: >=2 kernel configs: one walk-style, one codegen-style.
+#: >=2 kernel configs.  Both run the batch walk; ``assert_lockstep``
+#: holds it against the scalar kernel of the same name, so ``SU`` checks
+#: the walk against the scalar unrolled (generated-code) kernel.
 KERNELS = ("PSU", "SU")
 
 
@@ -65,13 +68,15 @@ class TestLockstepEquivalence:
         # A >64-bit design stays on the vectorised NumPy plane: its wide
         # slots take several limb rows.
         assert BatchSimulator(sha3, lanes=2).backend == "u64xN"
-        assert BatchSimulator(sha3, lanes=2, kernel="SU").kernel.style == "codegen"
-        assert BatchSimulator(rocket, lanes=2, kernel="SU").kernel.style == "codegen"
-        # The list-of-lists plane remains available on request, and SU
-        # degrades to the pure-Python walk there (no NumPy plane).
-        wide_python = BatchSimulator(sha3, lanes=2, kernel="SU", backend="python")
-        assert wide_python.backend == "python"
-        assert wide_python.kernel.style == "python"
+        # One batched NumPy kernel: every scalar config name runs the
+        # walk on either plane shape, and the pure-Python walk on the
+        # list-of-lists plane.
+        for name in [config.name for config in ALL_KERNELS]:
+            for bundle in (rocket, sha3):
+                assert BatchSimulator(bundle, lanes=2, kernel=name).kernel.style == "walk"
+            python = BatchSimulator(sha3, lanes=2, kernel=name, backend="python")
+            assert python.backend == "python"
+            assert python.kernel.style == "python"
 
     def test_pick_backend_without_numpy(self):
         bundle = compile_named_design("rocket-1")

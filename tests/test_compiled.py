@@ -74,7 +74,7 @@ class TestCompiledLockstep:
         assert supports_u64(compile_named_design(design))
         engines = [
             spec_from_name("scalar"),
-            spec_from_name("batch-su"),
+            spec_from_name("batch-u64"),
             spec_from_name("batch-compiled"),
             spec_from_name("shard-compiled"),
         ]
@@ -106,8 +106,6 @@ class TestCompiledFallback:
             compile_named_design("small-1"), lanes=2,
             kernel="compiled", backend="u64",
         )
-        # The walk, not the SU codegen kernel: degrading to the slower
-        # NumPy kernel would be degrading twice.
         assert batch.kernel.style == "walk"
         assert "no C compiler" in batch.kernel.compiled_fallback
         batch.poke("reset", 1)

@@ -25,12 +25,15 @@ from pathlib import Path
 import pytest
 
 from repro.designs.registry import standard_designs
+from repro.kernels import ALL_KERNELS
 from repro.sim import FleetDiff, TraceDiff, first_divergence
 from repro.verify import engine_matrix, run_differential_suite
 from repro.verify.differential import (
     DifferentialResult,
     ScalarFleet,
+    _named_engines,
     _spec,
+    spec_from_name,
 )
 
 FUZZ_SEEDS = int(os.environ.get("REPRO_FUZZ_SEEDS", "3"))
@@ -134,6 +137,19 @@ class TestDifferentialFuzz:
         assert rebuilt == TRIMMED_MATRIX
         with pytest.raises(KeyError):
             spec_from_name("warp-drive")
+
+    def test_unknown_engine_error_lists_the_named_arms(self):
+        """No batch arm is named after a kernel config (every config runs
+        the same walk, which ``batch-<backend>`` covers), and the error
+        advertises exactly the arms the table holds."""
+        for config in ALL_KERNELS:
+            name = f"batch-{config.name.lower()}"
+            with pytest.raises(KeyError) as excinfo:
+                spec_from_name(name)
+            message = str(excinfo.value)
+            for arm in _named_engines("PSU"):
+                assert arm in message
+            assert name not in message.split(";", 1)[1]
 
     def test_process_executor_arm(self):
         """The process executor joins the matrix for at least one design

@@ -28,6 +28,9 @@ from repro.designs.sha3 import NUM_ROUNDS, round_constants_for_step
 from repro.shard import ShardedBatchSimulator
 from repro.sim import Simulator
 
+#: Both run the batch walk; the lockstep cases hold it against the scalar
+#: kernel of the same name, so ``SU`` checks it against the scalar
+#: unrolled (generated-code) kernel.
 KERNELS = ("PSU", "SU")
 BOUNDARY_WIDTHS = (63, 64, 65, 128)
 

@@ -208,15 +208,13 @@ class TestCachedProgram:
 # Emitted artefacts do not move
 # ----------------------------------------------------------------------
 #: sha256 of what the commit before the one-op-table refactor emitted.
-#: ``cbin`` cache keys (``SOURCE_SCHEMA``) and cached ``sucodegen``
-#: statements stay valid only while these hold: a renderer change that
-#: moves one must bump the schema, not this table.
+#: ``cbin`` cache keys (``SOURCE_SCHEMA``) stay valid only while these
+#: hold: a renderer change that moves one must bump the schema, not this
+#: table.
 PINNED = {
     ("emit_c", "rocket-1"): "91338afae8fe800352816360644ce231659f9b1343caa3f24ee86e60b8a026ae",
     ("emit_c", "gemmini-8"): "478573175419b120333fbb511fce021c3b172da200320ae854b48e43ab892d8c",
     ("emit_c", "gemmini-16"): "c24d74c204ea42c65e7e9a67f888f8ef10c92c177d857e33381c8a2aa29967af",
-    ("sucodegen", "rocket-1"): "b0f1284ccfbd7fea6eb6684b3a4c3792ffdb121ae892bbcd7fce5e2e9dc6be68",
-    ("sucodegen", "sha3"): "cde5b9960378f5231bf139fcf84ee82baf7f4376da7f45f8b527096bf932ab3b",
     ("python_expr", "rocket-1"): "fd71a84d4a030bc4d73d174e4fcf14806a0cbe80bb0f22ddd45acc6e7ef8231b",
     ("python_expr", "sha3"): "f0313f32bbebe1262f62ef84c7d9a2a3400dcc63c192f28fb4e7e1d189cb8d23",
 }
@@ -229,11 +227,6 @@ def _emitted(kind: str, design: str) -> str:
         from repro.lower.cbackend import emit_c
 
         return emit_c(program)
-    if kind == "sucodegen":
-        from repro.batch.backend import limb_layout
-        from repro.batch.kernels import _codegen_statements
-
-        return "\n".join(_codegen_statements(bundle, limb_layout(bundle)))
     from repro.kernels.expr import python_expr
 
     consts = program.const_values()

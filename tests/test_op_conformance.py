@@ -3,7 +3,7 @@ corner operands, independent of any design.
 
 The op table (:mod:`repro.graph.opsem`) says what each op means once;
 each *target* (Python ints, the NumPy single-row table, the split-limb
-table, layer-blocked groups, and the Python / NumPy / C source dialects)
+table, layer-blocked groups, and the Python / C source dialects)
 only implements the primitives.  This matrix pins every (op, target)
 pair to the FIRRTL reference evaluators of :mod:`repro.firrtl.primops`
 -- never to the table under test -- so whole-design fuzzing is no longer
@@ -29,7 +29,6 @@ import pytest
 
 from repro.batch.backend import (
     HAS_NUMPY,
-    codegen_namespace,
     combine_limbs,
     limbs_for_width,
     numpy_or_none,
@@ -42,7 +41,7 @@ from repro.designs.registry import compiled_graph, standard_designs
 from repro.firrtl.primops import PRIM_OPS, mask
 from repro.graph import opsem
 from repro.graph.opsem import INT, MAX_CHAIN, PRIMITIVES, Target, bind_table
-from repro.kernels.expr import NUMPY, PYTHON
+from repro.kernels.expr import PYTHON
 from repro.lower import cbackend
 
 WIDTHS = (1, 31, 32, 33, 63, 64, 65, 127, 128)
@@ -290,24 +289,6 @@ def _stored(np, result, lanes):
     return [int(value) for value in row]
 
 
-def numpy_dialect_column(np, dialect, target, inline):
-    namespace = codegen_namespace(target)
-
-    def column(cases):
-        for case in cases:
-            op, widths, ow, lanes = case
-            results = [None] * len(lanes)
-            for value, indices in variants(case, inline).items() if is_narrow(case) else ():
-                names, args = spelled(case, value)
-                env = dict(namespace, **dict(zip(names, _rows(np, lanes, np.uint64))))
-                stored = _stored(np, eval(dialect.render(op, args, widths, ow), env), lanes)
-                for index in indices:
-                    results[index] = stored[index]
-            yield results
-
-    return column
-
-
 def u64_column(np, target):
     table = bind_table(target)
 
@@ -430,15 +411,12 @@ def c_columns(np, dialect, prelude):
 
 
 SCALAR_COLUMNS = ("int", "python-dialect", "python-dialect-inlined")
-NUMPY_COLUMNS = (
-    "numpy-dialect", "numpy-dialect-inlined", "u64-table", "limb-table",
-    "blocked-group",
-)
+NUMPY_COLUMNS = ("u64-table", "limb-table", "blocked-group")
 C_COLUMNS = ("c-dialect", "c-dialect-inlined")
 
 
-def make_columns(int_target=INT, python=PYTHON, numpy=NUMPY, u64=None,
-                 limb=None, c=None, prelude=cbackend._PRELUDE, with_c=True):
+def make_columns(int_target=INT, python=PYTHON, u64=None, limb=None, c=None,
+                 prelude=cbackend._PRELUDE, with_c=True):
     """Every column that can run here, by name, over the given targets."""
     columns = {
         "int": int_column(int_target),
@@ -450,8 +428,6 @@ def make_columns(int_target=INT, python=PYTHON, numpy=NUMPY, u64=None,
         return columns
     u64 = u64 or numpy_target(np)
     columns.update({
-        "numpy-dialect": numpy_dialect_column(np, numpy, u64, inline=False),
-        "numpy-dialect-inlined": numpy_dialect_column(np, numpy, u64, inline=True),
         "u64-table": u64_column(np, u64),
         "limb-table": limb_column(np, limb or limb_target(np)),
         "blocked-group": blocked_column(np, u64),
@@ -583,12 +559,9 @@ BREAKS = {
     "python dialect": (
         lambda np: {"python": _early_dialect(type(PYTHON))},
         {"python-dialect", "python-dialect-inlined"}),
-    "numpy dialect": (
-        lambda np: {"numpy": _early_dialect(type(NUMPY))},
-        {"numpy-dialect", "numpy-dialect-inlined"}),
-    "u64 target": (  # generated NumPy code calls this target's _dshl, too
+    "u64 target": (
         lambda np: {"u64": _early_target(numpy_target(np))},
-        {"u64-table", "blocked-group", "numpy-dialect"}),
+        {"u64-table", "blocked-group"}),
     "limb target": (
         lambda np: {"limb": _early_target(limb_target(np))}, {"limb-table"}),
     "c dialect": (

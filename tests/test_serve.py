@@ -279,12 +279,22 @@ class TestWarmColdEquivalence:
         for name in watch:
             assert cold.peek(name) == warm.peek(name) == [scalar.peek(name)] * 4
 
-    def test_batch_codegen_warm_matches_cold(self, mixed_src, cache):
+    def test_batch_walk_warm_matches_cold(self, mixed_src, cache, monkeypatch):
         from repro.batch import BatchSimulator
 
-        cold = BatchSimulator(mixed_src, lanes=3, kernel="SU")
-        warm = BatchSimulator(mixed_src, lanes=3, kernel="SU")
-        assert cache.stats.hits > 0
+        cold = BatchSimulator(mixed_src, lanes=3)
+        hits = []
+        get = cache.get
+
+        def recording_get(kind, digest):
+            payload = get(kind, digest)
+            if payload is not None:
+                hits.append(kind)
+            return payload
+
+        monkeypatch.setattr(cache, "get", recording_get)
+        warm = BatchSimulator(mixed_src, lanes=3)
+        assert "program" in hits  # the walk's schedule came from the cache
         rng = random.Random(1)
         for _ in range(20):
             for name in ("a", "b"):
