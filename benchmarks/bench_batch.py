@@ -70,21 +70,16 @@ def test_batch_speedup(benchmark):
 
 
 def test_compiled_beats_walk(benchmark):
-    """The compiled C pass beats the NumPy walk it falls back to at B=8
+    """The compiled C pass beats the NumPy walk it falls back to at B=64
     on rocket-1 (the compiled-backend acceptance bar; also enforced on
-    recorded baselines by perf_gate's compiled floor).
-
-    B=8, not B=64: at B=64 the plane's row stride is a power-of-two
-    512 bytes, every slot of a lane maps to the same few cache sets, and
-    the C kernel falls to roughly the walk's speed.  B=64 can be the
-    acceptance point only once the row stride is padded off that cliff."""
+    recorded baselines by perf_gate's compiled floor)."""
     import pytest
 
     if not (HAS_NUMPY and has_toolchain()):
         pytest.skip("compiled backend unavailable (NumPy or C toolchain)")
     warm("rocket-1")
     rows = benchmark(
-        throughput_rows, ("rocket-1",), ("PSU", "compiled"), (8,), CYCLES
+        throughput_rows, ("rocket-1",), ("PSU", "compiled"), (64,), CYCLES
     )
     by_kernel = {row.kernel: row for row in rows}
     assert by_kernel["compiled"].style == "compiled"  # no silent fallback

@@ -22,26 +22,30 @@ the scalar semantics, so the subsystem is always importable and
 bit-exact.
 
 :class:`CompiledBatchKernel` (``kernel="compiled"``) swaps the NumPy
-pass for the compiled C translation unit of
-:mod:`repro.lower.cbackend`, built from the same shared
-:class:`~repro.lower.program.OimProgram` as every kernel above --
-falling back to the walk kernel when no toolchain (or no one-limb
-``u64`` plane) is available.
+pass for the rolled C kernel of :mod:`repro.lower.cbackend`: one shared
+object per host, whatever the design, walking the
+:class:`KernelTables` built from the same shared
+:class:`~repro.lower.program.OimProgram` as every kernel above -- the
+layer-blocked schedule again, with the dispatch per (layer, op) in C
+instead of NumPy.  It falls back to the walk kernel when no toolchain
+(or no one-limb ``u64`` plane) is available.
 
 No kernel here knows what an op means: every evaluator is the one op
 table (:mod:`repro.graph.opsem`) bound to this backend's target, and
-the C pass spells it in the C dialect.
+the C kernel spells it in the C data dialect.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, List
 
+from ..graph.opsem import get_semantics
 from ..kernels.config import KernelConfig, get_kernel_config
 from ..kernels.fiberwalk import PendingLayers
-from ..lower.cbackend import CBackendUnavailable, compiled_comb
+from ..lower.cbackend import DATA_OPS, CBackendUnavailable, data_kernel
+from ..lower.plan import data_blocks, limb_plan
 from ..lower.plan import is_narrow as _is_narrow
-from ..lower.plan import limb_plan
 from ..lower.program import cached_program
 from ..oim.builder import OimBundle
 from .backend import limb_layout, numpy_or_none, pick_backend
@@ -399,15 +403,78 @@ class BatchActivityKernel(BatchKernel):
         self._last = self._leaf_block(values)
 
 
-class CompiledBatchKernel(BatchKernel):
-    """The compiled C pass (``kernel="compiled"``): one shared-object
-    call evaluates the whole straight-line program for every lane.
+class KernelTables:
+    """The rolled C kernel's tables for one schedule of ``(op name,
+    rows)`` blocks (:func:`repro.lower.plan.data_blocks`) over a plane
+    of ``shape`` ``(num_slots, lanes)``: per block ``(op id, row start,
+    count)``; per row its out slot, operand widths ``w0``/``w1``, output
+    width ``ow`` and output mask ``m``; and every row's operand slots,
+    in order (the op fixes how many).  Constants stay in the plane.
 
-    Emission, compilation, and the ``cbin`` artifact cache live in
-    :mod:`repro.lower.cbackend`; this class only binds the loaded pass
-    to the kernel interface.  Needs the one-limb ``u64`` plane (slot
-    rows are the C kernel's address space) -- the factory falls back to
-    the walk kernel on other backends or when no toolchain is available.
+    Building checks what the kernel relies on: an op's arity, every slot
+    inside the plane, and no row reading an output of its own block (its
+    own included) -- rows of a block run one after the other, and each
+    writes through a ``restrict`` pointer.  Calling the tables runs the
+    schedule on ``comb``'s ``repro_run_blocks`` over a plane, which
+    must be exactly the uint64 plane they were built for.
+    """
+
+    def __init__(self, comb, blocks, shape) -> None:
+        np = numpy_or_none()
+        ids = {name: k for k, name in enumerate(DATA_OPS)}
+        table, outs, args, w0, w1, ow = [], [], [], [], [], []
+        for name, rows in blocks:
+            arity = get_semantics(name).arity
+            table += (ids[name], len(outs), len(rows))
+            written = {row[1] for row in rows}
+            for _n, s, operands, widths, out_width in rows:
+                if len(operands) != arity or not written.isdisjoint(operands):
+                    raise ValueError(f"{name} row {s}{operands}: bad arity or an "
+                                     "operand written in its own block")
+                outs.append(s)
+                args.extend(operands)
+                w0.append(widths[0])
+                w1.append(widths[1] if arity > 1 else 0)
+                ow.append(out_width)
+        if not all(0 <= slot < shape[0] for slot in (*outs, *args)):
+            raise ValueError(f"a slot index outside the {shape[0]}-slot plane")
+        self._arrays = [
+            np.array(values, dtype=np.int32)
+            for values in (table, outs, args, w0, w1, ow)
+        ] + [np.array([(1 << w) - 1 for w in ow], dtype=np.uint64)]
+        self._pointers = tuple(array.ctypes.data for array in self._arrays)
+        self._blocks = len(blocks)
+        self._uint64 = np.uint64
+        self.shape = tuple(shape)
+        self._fn = comb.library.repro_run_blocks
+        self._fn.argtypes = (
+            [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+            + [ctypes.c_void_p] * 6
+        )
+        self._fn.restype = None
+
+    def __call__(self, plane) -> None:
+        if (plane.dtype != self._uint64 or not plane.flags.c_contiguous
+                or plane.shape != self.shape):
+            raise ValueError(
+                f"the compiled kernel needs a C-contiguous uint64 plane of shape "
+                f"{self.shape}; got {plane.dtype} {plane.shape}"
+            )
+        blocks, *tables = self._pointers
+        self._fn(plane.ctypes.data, self.shape[1], blocks, self._blocks, *tables)
+
+
+class CompiledBatchKernel(BatchKernel):
+    """The compiled C pass (``kernel="compiled"``): one call of the
+    rolled kernel walks the design's :class:`KernelTables` for every
+    lane.
+
+    Source, compilation and the ``cbin`` artifact cache live in
+    :mod:`repro.lower.cbackend` -- one shared object per host serves
+    every design -- so this class only builds the tables.  Needs the
+    one-limb ``u64`` plane (slot rows are the C kernel's address space)
+    -- the factory falls back to the walk kernel on other backends or
+    when no toolchain is available.
     """
 
     style = COMPILED
@@ -420,14 +487,18 @@ class CompiledBatchKernel(BatchKernel):
                 f"the compiled kernel needs the native 'u64' plane; got {backend!r}"
             )
         super().__init__(bundle, config, lanes, backend)
-        self._comb = compiled_comb(bundle)
+        self._comb = data_kernel()
+        program = cached_program(bundle)
+        self._tables = KernelTables(
+            self._comb, data_blocks(program), (program.num_slots, lanes)
+        )
 
     @property
     def name(self) -> str:
         return f"compiledx{self.lanes}[{self.backend}]"
 
     def eval_comb(self, values) -> None:
-        self._comb(values)
+        self._tables(values)
 
 
 def make_batch_kernel(

@@ -77,7 +77,7 @@ def measure(
     workload = batched_workload_for(design_name, lanes, base_seed=base_seed)
 
     # The compiled C pass is batch-only; its scalar reference arm is the
-    # SU kernel it was lowered from (same straight-line program).
+    # SU kernel (the same program rows, as scalar generated code).
     scalar_kernel = "SU" if kernel == "compiled" else kernel
     scalar = Simulator(bundle, kernel=scalar_kernel)
     start = time.perf_counter()

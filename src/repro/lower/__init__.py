@@ -6,8 +6,8 @@ This package lowers a design **once** into an :class:`OimProgram` --
 dependence-levelled layers of typed ops with slot/width/operand
 metadata, leaf and commit tables, and a canonical fingerprint -- and
 every executor (the scalar walk and unrolled kernels, the batched walk,
-the activity cascade, the split-limb plan, and the compiled C backend)
-consumes that one program.
+the activity cascade, the split-limb plan, and the rolled C kernel's
+block tables) consumes that one program.
 
 Modules:
 
@@ -16,8 +16,8 @@ Modules:
 * :mod:`repro.lower.plan`     -- width classification and the blocked
   same-op limb plan derived from a program;
 * :mod:`repro.lower.cbackend` -- the compiled C batch backend: one
-  batched translation unit per program, compiled at design-load time and
-  cached as a ``cbin`` artifact keyed by the program fingerprint.
+  rolled kernel whose source does not depend on the design, compiled
+  once per host and cached as a ``cbin`` artifact keyed by its digest.
 """
 
 from .program import OimProgram, ProgramRow, cached_program, lower_program
@@ -25,7 +25,7 @@ from .plan import is_narrow, limb_plan
 from .cbackend import (
     CBackendUnavailable,
     CompiledComb,
-    compiled_comb,
+    data_kernel,
     find_compiler,
     has_toolchain,
 )
@@ -39,7 +39,7 @@ __all__ = [
     "limb_plan",
     "CBackendUnavailable",
     "CompiledComb",
-    "compiled_comb",
+    "data_kernel",
     "find_compiler",
     "has_toolchain",
 ]

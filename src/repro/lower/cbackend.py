@@ -1,30 +1,30 @@
-"""The compiled C batch backend: one translation unit per program.
+"""The compiled C batch backend: one rolled kernel for every design.
 
-:func:`emit_c` lowers an :class:`~repro.lower.program.OimProgram` into a
-single batched C translation unit -- the whole OIM schedule as
-straight-line statements over ``uint64_t`` locals (the compiler's
-register allocator fuses chains of statements and eliminates common
-subexpression rows), wrapped in a loop over the B lanes with the NumPy
-``(num_slots, B)`` value plane passed in as a raw pointer.  Each
-expression is the op table's meaning (:mod:`repro.graph.opsem`) spelled
-by :class:`CDialect` -- the shared :class:`~repro.graph.opsem.Dialect`
-renderer in C spelling, so constant shifts fold at render time -- with
-the guards in the prelude's ``r_*`` helpers; the op conformance matrix
-holds it to the FIRRTL reference.  Only u64-eligible designs
-(every slot width <= 64) compile; wider designs keep the split-limb
-NumPy path.
+:func:`data_kernel_source` is the paper's rolled kernel over OIM block
+tables (Figure 12c's swizzled ``[I,N,S,O,R]`` format, the N rank
+unrolled into code): one ``static void op_<name>`` per op-table row,
+looping over a block's rows and, inside, over the B lanes of the NumPy
+``(num_slots, B)`` value plane, with every row's widths and output mask
+read from tables -- so the source does not depend on the design.  Each
+body is the op table's meaning (:mod:`repro.graph.opsem`) spelled by
+:class:`CDataDialect`; the guards live in the prelude's ``r_*`` helpers,
+and the op conformance matrix holds both to the FIRRTL reference.  The
+entry point ``repro_run_blocks`` walks one ``(op id, row start, count)``
+block per (layer, op) of the tables
+:class:`repro.batch.kernels.KernelTables` builds from a program.  Only
+u64-eligible designs (every slot width <= 64) run it.
 
-:func:`compiled_comb` is the entry point: program -> cached shared
-object.  The compiled artifact is stored in the :mod:`repro.serve`
-artifact cache under kind ``cbin``, keyed by the program fingerprint
-plus the host triple and compile flags, so warm starts (and fleet
-members sharing a cache directory) load the ``.so`` bytes without
-invoking a compiler at all.  When no C toolchain is present,
+:func:`data_kernel` compiles it once per host: the shared object is
+stored in the :mod:`repro.serve` artifact cache under kind ``cbin``,
+keyed by the source digest plus the host triple and compile flags, so
+every design, shard partition and fleet member -- and every warm start
+-- loads it without a compiler.  Without a toolchain,
 :class:`ToolchainUnavailable` is raised and callers fall back to the
-NumPy walk -- the backend degrades, it never breaks.
+NumPy walk: the backend degrades, it never breaks.
 
-This module imports no NumPy: toolchain probing and source emission must
-work (and report cleanly) in the no-NumPy environment too.
+:func:`emit_c` is the other code shape, a design as straight-line C (the
+ESSENT-style subject); only the end-to-end benchmark's trace pass
+compiles it.  This module imports no NumPy.
 """
 
 from __future__ import annotations
@@ -37,32 +37,22 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from functools import lru_cache
 from typing import Dict, List, Optional
 
-from ..graph.opsem import Dialect
+from ..graph.opsem import Dialect, all_op_names, get_semantics
 from .program import OimProgram
 
-#: Rows per generated chunk function (mirrors the scalar SU kernel's chunking;
-#: keeps single-function size sane for the C compiler on huge designs).
+#: Straight-line :func:`emit_c` only: rows per generated chunk function,
+#: and the program size above which ``-O1`` on that text costs the
+#: better part of a minute (so its compile drops to ``-O0``).
 C_CHUNK = 4000
-
-#: Optimisation level by program size.  ``-O1`` deliberately, not
-#: ``-O2``: measured on rocket-1 it is both the fastest to run (the
-#: straight-line code only needs register fusion and local CSE) and 5x
-#: quicker to compile.  Above ``BIG_PROGRAM_ROWS`` rows even -O1 costs
-#: the better part of a minute, so huge designs drop to ``-O0`` (within
-#: ~20% of -O1 at runtime, compiles in seconds).
 BIG_PROGRAM_ROWS = 20_000
 BASE_CFLAGS = ("-shared", "-fPIC")
-
-
-def _cflags(num_records: int):
-    level = "-O0" if num_records > BIG_PROGRAM_ROWS else "-O1"
-    return (level, *BASE_CFLAGS)
-
-#: Bump when the emitted source or ABI changes shape: it enters the
-#: ``cbin`` cache key, so stale shared objects never load.
-SOURCE_SCHEMA = 1
+#: The one flags tuple (the rolled kernel, every conformance column).
+#: ``-O1``: with gcc 12 it compiles in 0.48 s to ``-O2``'s 0.73 s, and the
+#: kernel runs rocket-1 / gemmini-8 at B=64 within 5% of ``-O2``.
+CFLAGS = ("-O1", *BASE_CFLAGS)
 
 
 class CBackendUnavailable(RuntimeError):
@@ -160,6 +150,91 @@ class CDialect(Dialect):
 c_expr = CDialect().render
 
 
+class CDataDialect(CDialect):
+    """:class:`CDialect` with widths as row data: ``w0``/``w1``/``ow``
+    and the output mask ``m`` are C variables of the rolled kernel, not
+    literals.  Only the primitives that fold a width at render time are
+    spelled anew; with no literal operand, shifts and ``head`` already
+    render as the prelude's guarded ``r_*`` calls."""
+
+    def fit(self, x, ow):
+        return f"({x}) & m"
+
+    def cat(self, x, y, wy, ow):
+        return f"({wy} >= {self.WORD} ? {y} : ({x} << {wy}) | {y})"
+
+    def all_ones(self, x, w):
+        return self.relation("==", x, f"({w} >= {self.WORD} ? ~0ULL : (1ULL << {w}) - 1)")
+
+
+_OP = """\
+static void op_{name}(OP_PARAMS) {{
+    for (int64_t i = 0; i < count; ++i, arg += {arity}) {{
+        uint64_t *restrict o = V + (int64_t)out[i] * n;
+        const int64_t w0 = W0[i], w1 = W1[i], ow = OW[i];
+        const uint64_t m = M[i];
+        {pointers}
+        for (int64_t b = 0; b < n; ++b) {{
+            {loads}
+            o[b] = {expression};
+        }}
+    }}
+}}
+"""
+
+_DATA_KERNEL = """\
+#define OP_PARAMS uint64_t *V, int64_t n, const int32_t *out, const int32_t *arg, \\
+    const int32_t *W0, const int32_t *W1, const int32_t *OW, const uint64_t *M, int64_t count
+
+{bodies}
+typedef void (*op_fn)(OP_PARAMS);
+static const op_fn OPS[] = {{{ops}}};
+static const int64_t ARITY[] = {{{arities}}};
+
+void repro_run_blocks(uint64_t *V, int64_t n, const int32_t *blocks, int64_t nblocks,
+                      const int32_t *out, const int32_t *arg, const int32_t *W0,
+                      const int32_t *W1, const int32_t *OW, const uint64_t *M) {{
+    for (int64_t k = 0; k < nblocks; ++k) {{
+        const int32_t op = blocks[3 * k], start = blocks[3 * k + 1], count = blocks[3 * k + 2];
+        OPS[op](V, n, out + start, arg, W0 + start, W1 + start, OW + start, M + start, count);
+        arg += (int64_t)count * ARITY[op];
+    }}
+}}
+"""
+
+#: The rolled kernel's op ids: ``DATA_OPS[id]`` is the op-table row
+#: ``op_<name>`` evaluates, the same for every design.
+DATA_OPS = tuple(all_op_names())
+
+
+@lru_cache(maxsize=None)
+def data_kernel_source(dialect: Optional[Dialect] = None, prelude: str = _PRELUDE) -> str:
+    """The rolled kernel: ``repro_run_blocks`` evaluates, block by
+    block, ``count`` rows of one op from row ``start`` on -- row ``i``
+    writes slot ``out[i]`` from the op's fixed number of ``arg`` slots,
+    with operand widths ``W0[i]``/``W1[i]``, output width ``OW[i]`` and
+    mask ``M[i]`` -- for every lane of the ``(num_slots, n)`` plane ``V``.
+    """
+    dialect = dialect or CDataDialect()
+    bodies, arities = [], [get_semantics(name).arity for name in DATA_OPS]
+    for name, arity in zip(DATA_OPS, arities):
+        bodies.append(_OP.format(
+            name=name, arity=arity,
+            pointers=" ".join(
+                f"const uint64_t *p{k} = V + (int64_t)arg[{k}] * n;" for k in range(arity)
+            ),
+            loads=" ".join(f"const uint64_t a{k} = p{k}[b];" for k in range(arity)),
+            expression=dialect.render(
+                name, [f"a{k}" for k in range(arity)], ("w0", "w1"), "ow"
+            ),
+        ))
+    return prelude + "\n" + _DATA_KERNEL.format(
+        bodies="\n".join(bodies),
+        ops=", ".join(f"op_{name}" for name in DATA_OPS),
+        arities=", ".join(map(str, arities)),
+    )
+
+
 def emit_c(program: OimProgram) -> str:
     """The whole program as one batched C translation unit.
 
@@ -222,18 +297,15 @@ def emit_c(program: OimProgram) -> str:
 # Compilation and loading
 # ----------------------------------------------------------------------
 def compile_shared_object(source: str, cc: str, flags=None) -> bytes:
-    """Compile ``source`` with ``cc`` and return the shared-object bytes."""
-    if flags is None:
-        flags = ("-O1", *BASE_CFLAGS)
+    """Compile ``source`` with ``cc`` (``flags`` default: :data:`CFLAGS`)
+    and return the shared-object bytes."""
     with tempfile.TemporaryDirectory(prefix="repro-cc-") as workdir:
         src = os.path.join(workdir, "comb.c")
         out = os.path.join(workdir, "comb.so")
         with open(src, "w") as handle:
             handle.write(source)
         result = subprocess.run(
-            [cc, *flags, "-o", out, src],
-            capture_output=True,
-            text=True,
+            [cc, *(flags or CFLAGS), "-o", out, src], capture_output=True, text=True
         )
         if result.returncode != 0:
             detail = (result.stderr or result.stdout or "").strip()
@@ -245,8 +317,10 @@ def compile_shared_object(source: str, cc: str, flags=None) -> bytes:
 
 
 class CompiledComb:
-    """A loaded compiled combinational pass: ``comb(plane)`` evaluates
-    every lane of a C-contiguous ``(num_slots, B)`` uint64 plane in
+    """A loaded shared object: :attr:`library` is the ``ctypes`` handle
+    (the rolled kernel binds ``repro_run_blocks`` through it), and
+    ``comb(plane)`` runs an :func:`emit_c` object's ``repro_eval_comb``
+    over every lane of a C-contiguous ``(num_slots, B)`` uint64 plane in
     place.  The ``.so`` only touches disk for the ``dlopen``: its temp
     directory is gone again before the constructor returns (the mapping
     survives the unlink), so nothing is left to clean up at exit -- or
@@ -259,60 +333,55 @@ class CompiledComb:
             with open(path, "wb") as handle:
                 handle.write(so_bytes)
             try:
-                library = ctypes.CDLL(path)
+                self.library = ctypes.CDLL(path)
             except OSError as error:  # e.g. noexec tmp mount
                 raise CBackendUnavailable(
                     f"cannot load compiled kernel: {error}"
                 ) from error
-        self._fn = library.repro_eval_comb
-        self._fn.argtypes = [ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64]
-        self._fn.restype = None
-        self._library = library
+        self._fn = None
 
     def __call__(self, plane) -> None:
         if not plane.flags["C_CONTIGUOUS"]:
             raise ValueError("compiled kernel needs a C-contiguous plane")
+        if self._fn is None:
+            self._fn = self.library.repro_eval_comb
+            self._fn.argtypes = [ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64]
+            self._fn.restype = None
         pointer = plane.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64))
         self._fn(pointer, plane.shape[1])
 
 
-def _cbin_digest(program: OimProgram) -> str:
-    """The ``cbin`` cache key: same program + same host shape + same
+def _cbin_digest(source: str) -> str:
+    """The ``cbin`` cache key: same source + same host shape + same
     flags -> same shared object.  The compiler *name* stays out so a
-    cc/gcc alias switch doesn't force a recompile; SOURCE_SCHEMA bumps
-    do."""
+    cc/gcc alias switch doesn't force a recompile."""
     hasher = hashlib.sha256()
-    for part in (
-        program.fingerprint,
-        platform.machine(),
-        sys.platform,
-        _cflags(program.num_records),
-        SOURCE_SCHEMA,
-    ):
+    for part in (source, platform.machine(), sys.platform, CFLAGS):
         hasher.update(repr(part).encode())
         hasher.update(b"\x00")
     return hasher.hexdigest()
 
 
-#: Loaded kernels by cbin digest: every kernel instance for a design in
-#: one process shares one mapped shared object.
+#: Loaded kernels by cbin digest: every design, partition and fleet
+#: member in one process -- and every worker forked from it after the
+#: first load -- shares one mapped shared object.
 _MEMO: Dict[str, CompiledComb] = {}
 
 
-def compiled_comb(bundle) -> CompiledComb:
-    """The compiled combinational pass for ``bundle``'s program.
+def data_kernel(source: Optional[str] = None) -> CompiledComb:
+    """The rolled kernel (``source``, default :func:`data_kernel_source`)
+    as a loaded shared object, whatever the design.
 
     Resolution order: in-process memo, then the artifact cache's
     ``cbin`` entry (a warm start needs no toolchain at all), then a
-    fresh emit+compile (cached for the next process).  Raises
+    fresh compile (cached for the next process).  Raises
     :class:`ToolchainUnavailable` / :class:`CBackendUnavailable` when
     neither a cached object nor a compiler is available.
     """
     from ..serve import artifacts
-    from .program import cached_program
 
-    program = cached_program(bundle)
-    digest = _cbin_digest(program)
+    source = source or data_kernel_source()
+    digest = _cbin_digest(source)
     memoised = _MEMO.get(digest)
     if memoised is not None:
         return memoised
@@ -330,13 +399,11 @@ def compiled_comb(bundle) -> CompiledComb:
         if cc is None:
             raise ToolchainUnavailable(
                 "no C compiler found (cc/gcc/clang; set REPRO_CC to "
-                "override) and no cached compiled kernel for this design"
+                "override) and no cached compiled kernel on this host"
             )
-        so_bytes = compile_shared_object(
-            emit_c(program), cc, _cflags(program.num_records)
-        )
+        so_bytes = compile_shared_object(source, cc)
         if cache is not None:
             cache.put("cbin", digest, {"so": so_bytes, "cc": os.path.basename(cc)})
-    comb = CompiledComb(so_bytes, program.fingerprint)
+    comb = CompiledComb(so_bytes, hashlib.sha256(source.encode()).hexdigest())
     _MEMO[digest] = comb
     return comb

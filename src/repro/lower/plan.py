@@ -1,11 +1,12 @@
-"""Width classification and the blocked same-op limb plan.
+"""Width classification and the blocked same-op schedules.
 
 One program, one classification: :func:`is_narrow` decides which rows
 fit the single-``uint64``-row evaluators, and :func:`limb_plan` folds it
 into the declarative ``u64xN`` schedule, grouping a layer's same-op
-narrow rows into blocks.  The batched walk and the activity kernel
-both consult the same predicate, so the narrow/wide split cannot drift
-between executors.
+narrow rows into blocks.  :func:`data_blocks` is the rolled C kernel's
+schedule: every row of a layer, one block per op.  The batched walk and
+the activity kernel both consult the same predicate, so the narrow/wide
+split cannot drift between executors.
 """
 
 from __future__ import annotations
@@ -58,3 +59,15 @@ def limb_plan(program: OimProgram) -> List[PlanStep]:
             kind = "narrow" if is_narrow(widths, out_width) else "wide"
             plan.append((kind, None, [row]))
     return plan
+
+
+def data_blocks(program: OimProgram) -> List[Tuple[str, List[ProgramRow]]]:
+    """The rolled C kernel's schedule: per layer, in execution order, one
+    ``(op name, rows)`` block per op (safe: layers are dependence levels)."""
+    blocks: List[Tuple[str, List[ProgramRow]]] = []
+    for layer in program.layers:
+        groups: Dict[str, List[ProgramRow]] = {}
+        for row in layer:
+            groups.setdefault(program.op_names[row[0]], []).append(row)
+        blocks.extend(groups.items())
+    return blocks

@@ -20,8 +20,9 @@ content-addressed home on disk:
   leaf/commit tables; supersedes the pre-refactor ``oimwalk``/
   ``fiberwalk``/``limbplan`` kinds);
 * ``cbin``      -- the compiled C batch backend's shared-object bytes,
-  keyed by the program fingerprint plus host triple and compile flags
-  (a warm start loads it without invoking a compiler);
+  keyed by the rolled kernel's source digest plus host triple and
+  compile flags: one entry per host serves every design (a warm start
+  loads it without invoking a compiler);
 * ``pgraph``    -- partition graphs the shard coordinator names to its
   workers by key instead of sending the graph document (each worker
   reads its *own* cache; nothing pickled ever crosses a channel).

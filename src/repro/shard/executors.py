@@ -17,7 +17,9 @@ chooses what the channels are:
   when every partition fits the u64 plane and NumPy is present -- through
   shared-memory lane planes (``transport="shm"``,
   :mod:`repro.shard.planes`).  This is the executor that buys wall-clock
-  parallelism for heavy partitions.
+  parallelism for heavy partitions.  With ``kernel="compiled"`` the
+  coordinator loads the one rolled C kernel before it forks, so the
+  workers inherit the mapping and none of them compiles.
 * ``socket`` -- one TCP channel per ``shard-worker`` host, partitions
   spread round-robin over the hosts (:mod:`repro.shard.remote`).
 
@@ -38,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 from .. import wire
 from ..graph.dfg import graph_to_doc
 from ..kernels.activity import ActivityStats
+from ..lower.cbackend import CBackendUnavailable, data_kernel
 from ..repcut.partition import Partition
 from .planes import ExportRows, LanePlanes, shm_eligibility
 from .remote import SocketChannel, spawn_local_workers
@@ -183,6 +186,11 @@ class ChannelExecutor:
                 raise RuntimeError(f"shm_planes=True but {reason}")
             if eligible if shm_planes is None else shm_planes:
                 self.transport = "shm"
+            if isinstance(kernel, str) and kernel.strip().lower() == "compiled":
+                try:
+                    data_kernel()
+                except CBackendUnavailable:
+                    pass  # each worker falls back and says why
         try:
             self._open(hosts)
             self._setup(partitions, lanes, kernel, backend, routes)

@@ -1,9 +1,12 @@
 """Tests for the compiled C batch backend (:mod:`repro.lower.cbackend`):
-registry-wide lockstep against the scalar reference, the ``cbin``
-warm-start path (no recompilation), graceful fallback without a
-toolchain, the emitted source's structural invariants, and the loaded
-object leaving nothing behind in the temp directory."""
+registry-wide lockstep against the scalar reference, one compile per
+host for every design and shard worker, the ``cbin`` warm-start path
+(no recompilation), the plane checks in front of the C call, graceful
+fallback without a toolchain, the straight-line source's structural
+invariants, and the loaded object leaving nothing behind in the temp
+directory."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,7 +17,9 @@ import pytest
 from repro.batch import BatchSimulator, HAS_NUMPY
 from repro.batch.backend import supports_u64
 from repro.designs.registry import compile_named_design
-from repro.lower.cbackend import emit_c, find_compiler, has_toolchain
+from repro.lower.cbackend import (
+    data_kernel_source, emit_c, find_compiler, has_toolchain,
+)
 from repro.lower.program import cached_program
 
 SRC_ROOT = str(Path(__file__).resolve().parent.parent / "src")
@@ -89,7 +94,47 @@ class TestCompiledLockstep:
             kernel="compiled", backend="u64",
         )
         assert batch.kernel.style == "compiled"
+        assert batch.kernel.name == "compiledx4[u64]"
         assert not hasattr(batch.kernel, "compiled_fallback")
+
+    def test_one_source_whatever_the_design(self):
+        """Every design loads the same rolled kernel: the source has no
+        design in it, only the tables do."""
+        digest = hashlib.sha256(data_kernel_source().encode()).hexdigest()
+        for design in U64_DESIGNS:
+            batch = BatchSimulator(
+                compile_named_design(design), lanes=2,
+                kernel="compiled", backend="u64",
+            )
+            assert batch.kernel._comb.fingerprint == digest, design
+
+
+# ----------------------------------------------------------------------
+# The plane is checked before its pointer crosses into C
+# ----------------------------------------------------------------------
+@needs_numpy
+@needs_cc
+class TestPlaneValidation:
+    @pytest.mark.parametrize("bad", ["short", "float64", "fortran"])
+    def test_bad_plane_never_reaches_c(self, bad, monkeypatch):
+        import numpy as np
+
+        batch = BatchSimulator(
+            compile_named_design("gemmini-8"), lanes=4,
+            kernel="compiled", backend="u64",
+        )
+        calls = []
+        monkeypatch.setattr(batch.kernel._tables, "_fn", lambda *args: calls.append(args))
+        plane = {
+            "short": lambda: batch.values[:-1].copy(),
+            "float64": lambda: batch.values.astype(np.float64),
+            "fortran": lambda: np.asfortranarray(batch.values),
+        }[bad]()
+        with pytest.raises(ValueError, match="uint64 plane of shape"):
+            batch.kernel.eval_comb(plane)
+        assert not calls
+        batch.kernel.eval_comb(batch.values)
+        assert len(calls) == 1  # the plane the tables were built for passes
 
 
 # ----------------------------------------------------------------------
@@ -121,46 +166,84 @@ class TestCompiledFallback:
 
 
 # ----------------------------------------------------------------------
-# The cbin artifact: warm starts skip the compiler
+# One compile per host; the cbin artifact: warm starts skip the compiler
 # ----------------------------------------------------------------------
-_WARM_CHILD = """\
+#: ``argv``: cache dir (``-`` for none), compile log, designs to build
+#: (``name/P2`` is a two-partition process-executor shard).  Every
+#: ``compile_shared_object`` call appends a line to the log -- forked
+#: shard workers inherit the patch, so theirs are counted too.
+_COUNTING_CHILD = """\
 import sys
 import repro.lower.cbackend as cbackend
 
-compiles = []
 original = cbackend.compile_shared_object
 def counting(source, cc, flags=None):
-    compiles.append(cc)
+    with open(sys.argv[2], "a") as log:
+        log.write("compile\\n")
     return original(source, cc, flags)
 cbackend.compile_shared_object = counting
 
 from repro.serve.artifacts import configure_cache
-configure_cache(sys.argv[1])
-from repro.designs.registry import compile_named_design
-comb = cbackend.compiled_comb(compile_named_design("small-1"))
-assert comb is not None
-print("COMPILES=%d" % len(compiles))
+if sys.argv[1] != "-":
+    configure_cache(sys.argv[1])
+from repro.batch import BatchSimulator
+from repro.designs.registry import compile_named_design, compiled_graph
+from repro.shard.simulator import ShardedBatchSimulator
+
+for design in sys.argv[3].split(","):
+    if design.endswith("/P2"):
+        with ShardedBatchSimulator(
+            compiled_graph(design[:-3]), lanes=2, num_partitions=2,
+            kernel="compiled", executor="process",
+        ) as sim:
+            sim.step(2)
+            assert set(sim.describe_partitions()) == {"u64/compiled"}
+    else:
+        sim = BatchSimulator(
+            compile_named_design(design), lanes=2, kernel="compiled", backend="u64"
+        )
+        assert sim.kernel.style == "compiled"
+        sim.step(2)
 """
+
+
+def _compiles(cache, designs, log):
+    """Run :data:`_COUNTING_CHILD`; the number of compiles it logged."""
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_CACHE_DIR"}
+    env["PYTHONPATH"] = SRC_ROOT
+    child = subprocess.run(
+        [sys.executable, "-c", _COUNTING_CHILD, str(cache), str(log), designs],
+        capture_output=True, text=True, env=env,
+    )
+    assert child.returncode == 0, child.stderr
+    return len(log.read_text().splitlines()) if log.exists() else 0
+
+
+@needs_numpy
+@needs_cc
+class TestOneCompilePerHost:
+    def test_three_designs_one_compile(self, tmp_path):
+        cache = tmp_path / "cache"
+        log = tmp_path / "compiles.log"
+        assert _compiles(cache, "rocket-1,gemmini-8,small-1", log) == 1
+        assert len(list(cache.glob("cbin-*.pkl"))) == 1
+
+    def test_process_workers_inherit_the_kernel(self, tmp_path):
+        """No artifact cache at all: a worker that did not inherit the
+        coordinator's loaded kernel would have to compile its own."""
+        log = tmp_path / "compiles.log"
+        assert _compiles("-", "gemmini-8/P2", log) == 1
 
 
 @needs_numpy
 @needs_cc
 class TestCbinWarmStart:
     def test_second_process_loads_cached_cbin(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_ROOT
-        runs = []
-        for _ in range(2):
-            child = subprocess.run(
-                [sys.executable, "-c", _WARM_CHILD, str(tmp_path)],
-                capture_output=True, text=True, env=env,
-            )
-            assert child.returncode == 0, child.stderr
-            runs.append(child.stdout.strip())
-        assert runs[0] == "COMPILES=1", runs
-        assert runs[1] == "COMPILES=0", runs  # warm start: cbin cache hit
-        cbins = list(Path(tmp_path).glob("cbin-*.pkl"))
-        assert len(cbins) == 1
+        cache = tmp_path / "cache"
+        assert _compiles(cache, "small-1", tmp_path / "cold.log") == 1
+        # Warm start, another design: the one cbin entry serves it.
+        assert _compiles(cache, "gemmini-8", tmp_path / "warm.log") == 0
+        assert len(list(cache.glob("cbin-*.pkl"))) == 1
 
     def test_warm_kernel_still_bit_exact(self, tmp_path, rng):
         """A kernel reloaded from cbin bytes must simulate identically."""

@@ -12,8 +12,9 @@ what keeps the targets in agreement.
 Shapes come from the FIRRTL width rules at widths {1, 31, 32, 33, 63, 64,
 65, 127, 128}, from every distinct (op, widths, out width) the registry
 designs lower to, and from a few degenerate zero-width shapes; operands
-ride the lane rank.  All C cases share one translation unit and one
-``compile_shared_object`` call.
+ride the lane rank.  All C dialect cases share one translation unit and
+one ``compile_shared_object`` call; the ``c-data`` column runs the
+engine's own rolled kernel, one block per op.
 """
 
 import ast
@@ -35,7 +36,7 @@ from repro.batch.backend import (
     numpy_target,
     split_limbs,
 )
-from repro.batch.kernels import _blocked_step
+from repro.batch.kernels import KernelTables, _blocked_step
 from repro.batch.vecsem import limb_target
 from repro.designs.registry import compiled_graph, standard_designs
 from repro.firrtl.primops import PRIM_OPS, mask
@@ -322,36 +323,80 @@ def limb_column(np, target):
     return column
 
 
+def op_blocks(np, cases, pad_single=False):
+    """Every narrow case of an op as one block of records over a plane of
+    its own: the records of a block differ in widths, which is what the
+    ``(k, 1)`` width columns and the rolled kernel's width tables are
+    for.  Yields ``(op, plane, rows, read)``; after the block has run,
+    ``read()`` returns, per case index, its result lanes."""
+    groups = defaultdict(list)
+    for index, case in enumerate(cases):
+        if is_narrow(case):
+            groups[case[0]].append(index)
+    for op, members in groups.items():
+        members = members if len(members) > 1 or not pad_single else members * 2
+        depth = max(len(cases[index][3]) for index in members)
+        arity = len(cases[members[0]][1])
+        plane = np.zeros((len(members) * (arity + 1), depth), dtype=np.uint64)
+        rows = []
+        for k, index in enumerate(members):
+            _op, widths, ow, lanes = cases[index]
+            base = k * (arity + 1)
+            for position in range(arity):
+                values = [lane[position] for lane in lanes]
+                plane[base + position] = np.array((values * depth)[:depth], dtype=np.uint64)
+            rows.append((0, base + arity, tuple(range(base, base + arity)), widths, ow))
+
+        def read(plane=plane, rows=rows, members=members):
+            return {
+                index: [int(v) for v in plane[row[1]][:len(cases[index][3])]]
+                for index, row in zip(members, rows)
+            }
+
+        yield op, plane, rows, read
+
+
+def _block_results(cases, run):
+    results = [[None] * len(case[3]) for case in cases]
+    for index, lanes in run().items():
+        results[index] = lanes
+    return results
+
+
 def blocked_column(np, target):
-    """Every narrow case of an op as one layer-blocked group: the records
-    of a group differ in widths, which is what the ``(k, 1)`` width
-    columns are for."""
+    """Every narrow case of an op as one layer-blocked group."""
     table = bind_table(target)
 
     def column(cases):
-        groups = defaultdict(list)
-        for index, case in enumerate(cases):
-            if is_narrow(case):
-                groups[case[0]].append(index)
-        results = [[None] * len(case[3]) for case in cases]
-        for op, members in groups.items():
-            members = members if len(members) > 1 else members * 2
-            depth = max(len(cases[index][3]) for index in members)
-            arity = len(cases[members[0]][1])
-            plane = np.zeros((len(members) * (arity + 1), depth), dtype=np.uint64)
-            group = []
-            for k, index in enumerate(members):
-                _op, widths, ow, lanes = cases[index]
-                base = k * (arity + 1)
-                for position in range(arity):
-                    values = [lane[position] for lane in lanes]
-                    plane[base + position] = np.array((values * depth)[:depth], dtype=np.uint64)
-                group.append((0, base + arity, tuple(range(base, base + arity)), widths, ow))
-            _blocked_step(np, table[op], group, np.arange(plane.shape[0]))(plane)
-            for k, index in enumerate(members):
-                lanes = len(cases[index][3])
-                results[index] = [int(v) for v in plane[k * (arity + 1) + arity][:lanes]]
-        yield from results
+        def run():
+            found = {}
+            for op, plane, rows, read in op_blocks(np, cases, pad_single=True):
+                _blocked_step(np, table[op], rows, np.arange(plane.shape[0]))(plane)
+                found.update(read())
+            return found
+
+        yield from _block_results(cases, run)
+
+    return column
+
+
+def c_data_column(np, dialect, prelude):
+    """Every narrow case through the engine's rolled C kernel: one block
+    per op, its tables built by the engine's own :class:`KernelTables`.
+    The default dialect and prelude are the production source, so this
+    runs the very shared object ``kernel="compiled"`` loads."""
+
+    def column(cases):
+        comb = cbackend.data_kernel(cbackend.data_kernel_source(dialect, prelude))
+
+        def run():
+            found = {}
+            for op, plane, rows, read in op_blocks(np, cases):
+                KernelTables(comb, [(op, rows)], plane.shape)(plane)
+                found.update(read())
+            return found
+
+        yield from _block_results(cases, run)
 
     return column
 
@@ -412,11 +457,11 @@ def c_columns(np, dialect, prelude):
 
 SCALAR_COLUMNS = ("int", "python-dialect", "python-dialect-inlined")
 NUMPY_COLUMNS = ("u64-table", "limb-table", "blocked-group")
-C_COLUMNS = ("c-dialect", "c-dialect-inlined")
+C_COLUMNS = ("c-dialect", "c-dialect-inlined", "c-data")
 
 
 def make_columns(int_target=INT, python=PYTHON, u64=None, limb=None, c=None,
-                 prelude=cbackend._PRELUDE, with_c=True):
+                 c_data=None, prelude=cbackend._PRELUDE, with_c=True):
     """Every column that can run here, by name, over the given targets."""
     columns = {
         "int": int_column(int_target),
@@ -434,6 +479,7 @@ def make_columns(int_target=INT, python=PYTHON, u64=None, limb=None, c=None,
     })
     if with_c and cbackend.has_toolchain():
         columns.update(c_columns(np, c or cbackend.CDialect(), prelude))
+        columns["c-data"] = c_data_column(np, c_data, prelude)
     return columns
 
 
@@ -540,8 +586,8 @@ def _early_target(target):
 
 def _early_dialect(dialect_class):
     class Early(dialect_class):
-        def shl(self, x, s, ow):
-            return super().shl(x, s, ow - 1)
+        def shl(self, x, s, ow):  # the data dialect's widths are C names
+            return super().shl(x, s, ow - 1 if isinstance(ow, int) else f"({ow} - 1)")
 
     return Early()
 
@@ -567,8 +613,13 @@ BREAKS = {
     "c dialect": (
         lambda np: {"c": _early_dialect(cbackend.CDialect)},
         {"c-dialect", "c-dialect-inlined"}),
-    "c prelude": (  # constant shifts fold at render time and never call it
-        lambda np: {"prelude": _early_prelude()}, {"c-dialect"}),
+    "c data dialect": (
+        lambda np: {"c_data": _early_dialect(cbackend.CDataDialect)}, {"c-data"}),
+    # Constant shifts fold at render time and never call the prelude's
+    # guard; the data kernel folds none (its shift amounts are plane
+    # rows), so every one of its shifts goes through r_dshl.
+    "c prelude": (
+        lambda np: {"prelude": _early_prelude()}, {"c-dialect", "c-data"}),
 }
 
 
